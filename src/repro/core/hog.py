@@ -27,12 +27,14 @@ from ..net.topology import DnsSiteResolver, FlatResolver, NetworkTopology
 from ..obs.registry import Registry
 from ..obs.trace import Tracer
 from ..sim.engine import Simulator
-from ..sim.events import Interrupt
 from ..sim.monitor import StepSeries
 from ..storage.disk import Disk
 from .config import HOGConfig
 
 __all__ = ["WorkerNode", "HOGSystem"]
+
+#: Seconds between the believed-node sampler's fallback re-stamps.
+BELIEVED_SAMPLE_PERIOD = 60.0
 
 
 class WorkerNode:
@@ -263,26 +265,23 @@ class HOGSystem:
         self.factory.set_target(target_nodes)
         if not self._sampler_started:
             self._sampler_started = True
-            self.sim.process(self._believed_sampler(), name="hog-believed-sampler")
+            self.sim.call_soon(self._believed_tick)
 
     def set_target(self, n: int) -> None:
         """Elastically grow or shrink the node request (§IV-C)."""
         self.factory.set_target(n)
 
-    def _believed_sampler(self, period: float = 60.0):
+    def _believed_tick(self, _arg) -> None:
         """Coarse fallback recorder.
 
         The believed series is recorded change-driven (see ``__init__``);
-        this loop only re-stamps the current value at a coarse period so
-        long quiet stretches still show up in exports.  It no longer drives
-        accuracy, so the period is 12x the old 5 s polling grid."""
-        try:
-            while True:
-                self.believed_series.record(
-                    self.sim.now, self.jobtracker.live_tracker_count())
-                yield self.sim.timeout(period)
-        except Interrupt:
-            return
+        this tick only re-stamps the current value every
+        ``BELIEVED_SAMPLE_PERIOD`` so long quiet stretches still show up
+        in exports.  It no longer drives accuracy, so the period is 12x
+        the old 5 s polling grid."""
+        self.believed_series.record(
+            self.sim.now, self.jobtracker.live_tracker_count())
+        self.sim.call_after(BELIEVED_SAMPLE_PERIOD, self._believed_tick)
 
     # -- run helpers ---------------------------------------------------------------------
     def run_until_nodes(self, n: int, timeout: float = 36_000.0,

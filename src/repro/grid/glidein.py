@@ -276,11 +276,10 @@ class GlideinFactory:
         if self._started:
             return
         self._started = True
-        self.sim.process(self._negotiation_loop(), name="glidein-factory")
+        self.sim.call_soon(self._negotiation_tick)
         for site in self.sites:
             if site.config.policy.burst_rate > 0:
-                self.sim.process(self._burst_loop(site),
-                                 name=f"burst:{site.name}")
+                self.sim.call_soon(self._burst_arm, site)
 
     def set_target(self, n: int) -> None:
         """Elastically grow/shrink the requested worker-node count."""
@@ -350,14 +349,10 @@ class GlideinFactory:
                                if e is not ev]
 
     # -- internals -------------------------------------------------------------------
-    def _negotiation_loop(self):
-        try:
-            while True:
-                self._reconcile()
-                self._negotiate()
-                yield self.sim.timeout(self.negotiation_interval)
-        except Interrupt:
-            return
+    def _negotiation_tick(self, _arg) -> None:
+        self._reconcile()
+        self._negotiate()
+        self.sim.call_after(self.negotiation_interval, self._negotiation_tick)
 
     def _reconcile(self) -> None:
         """Submit or remove pilots to track the target."""
@@ -399,27 +394,29 @@ class GlideinFactory:
             glidein.match(pick)
             self.counters.incr("glideins_matched")
 
-    def _burst_loop(self, site: GridSite):
+    def _burst_arm(self, site: GridSite) -> None:
+        """Draw the wait until ``site``'s next burst and schedule it.
+        ``start`` runs it through ``call_soon``, so the first draw
+        happens at the instant the site's burst daemon starts."""
+        rate = site.config.policy.burst_rate
+        self.sim.call_after(self.rng.exponential(1.0 / rate),
+                            self._burst_tick, site)
+
+    def _burst_tick(self, site: GridSite) -> None:
         """Site-wide simultaneous preemptions (higher-priority users)."""
-        policy = site.config.policy
-        try:
-            while True:
-                yield self.sim.timeout(self.rng.exponential(1.0 / policy.burst_rate))
-                running = site.running_glideins()
-                if not running:
-                    continue
-                k = max(1, ceil(policy.burst_fraction * len(running)))
-                idx = self.rng.choice(len(running), size=min(k, len(running)),
-                                      replace=False)
-                self.counters.incr("preemption_bursts")
-                tr = self.tracer
-                if tr is not None:
-                    tr.instant("grid", "preemption-burst", self.sim.now,
-                               track=site.name, args={"evicted": len(idx)})
-                for i in idx:
-                    running[int(i)].preempt()
-        except Interrupt:
-            return
+        running = site.running_glideins()
+        if running:
+            k = max(1, ceil(site.config.policy.burst_fraction * len(running)))
+            idx = self.rng.choice(len(running), size=min(k, len(running)),
+                                  replace=False)
+            self.counters.incr("preemption_bursts")
+            tr = self.tracer
+            if tr is not None:
+                tr.instant("grid", "preemption-burst", self.sim.now,
+                           track=site.name, args={"evicted": len(idx)})
+            for i in idx:
+                running[int(i)].preempt()
+        self._burst_arm(site)
 
     def _glidein_gone(self, glidein: Glidein) -> None:
         """A pilot left the system; the next cycle will resubmit."""

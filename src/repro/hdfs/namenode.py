@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.topology import NetworkTopology
 from ..sim.engine import Simulator
-from ..sim.events import Interrupt
 from ..sim.monitor import CounterSet
 from .block import Block, BlockInfo, FileInfo
 from .config import HdfsConfig
@@ -132,8 +131,8 @@ class Namenode:
         if self._monitors_started:
             return
         self._monitors_started = True
-        self.sim.process(self._heartbeat_monitor(), name="nn-hb-monitor")
-        self.sim.process(self._replication_monitor(), name="nn-repl-monitor")
+        self.sim.call_soon(self._hb_monitor_arm)
+        self.sim.call_soon(self._repl_monitor_arm)
 
     def heartbeat_interval(self) -> float:
         """Per-datanode heartbeat period: the configured floor, lengthened
@@ -152,36 +151,41 @@ class Namenode:
         return max(self.config.heartbeat_timeout,
                    4.0 * self.heartbeat_interval())
 
-    def _heartbeat_monitor(self):
-        try:
-            while True:
-                yield self.sim.timeout(self.config.heartbeat_recheck_period)
-                now = self.sim.now
-                # Re-derive per tick: tracks the adaptive period.
-                timeout = self.heartbeat_timeout()
-                heap = self._hb_heap
-                while heap and heap[0][0] <= now:
-                    _, host = heapq.heappop(heap)
-                    desc = self._nodes.get(host)
-                    if desc is None or not desc.alive:
-                        continue  # stale entry (dead or replaced node)
-                    deadline = desc.last_heartbeat + timeout
-                    if deadline <= now:
-                        self._declare_dead(desc)
-                    else:
-                        # Heartbeats arrived since the entry was pushed:
-                        # re-aim at the refreshed deadline.
-                        heapq.heappush(heap, (deadline, host))
-        except Interrupt:
-            return
+    def _hb_monitor_arm(self, _arg=None) -> None:
+        """Schedule the next liveness check one period out.  ``start``
+        runs it through ``call_soon``: the monitor sleeps before its
+        first check."""
+        self.sim.call_after(self.config.heartbeat_recheck_period,
+                            self._hb_monitor_tick)
 
-    def _replication_monitor(self):
-        try:
-            while True:
-                yield self.sim.timeout(self.config.replication_monitor_period)
-                self._schedule_replication_work()
-        except Interrupt:
-            return
+    def _hb_monitor_tick(self, _arg) -> None:
+        now = self.sim.now
+        # Re-derive per tick: tracks the adaptive period.
+        timeout = self.heartbeat_timeout()
+        heap = self._hb_heap
+        while heap and heap[0][0] <= now:
+            _, host = heapq.heappop(heap)
+            desc = self._nodes.get(host)
+            if desc is None or not desc.alive:
+                continue  # stale entry (dead or replaced node)
+            deadline = desc.last_heartbeat + timeout
+            if deadline <= now:
+                self._declare_dead(desc)
+            else:
+                # Heartbeats arrived since the entry was pushed: re-aim
+                # at the refreshed deadline.
+                heapq.heappush(heap, (deadline, host))
+        self._hb_monitor_arm()
+
+    def _repl_monitor_arm(self, _arg=None) -> None:
+        """Schedule the next replication pass one period out (first run
+        through ``call_soon``, like the liveness monitor)."""
+        self.sim.call_after(self.config.replication_monitor_period,
+                            self._repl_monitor_tick)
+
+    def _repl_monitor_tick(self, _arg) -> None:
+        self._schedule_replication_work()
+        self._repl_monitor_arm()
 
     # -- datanode protocol ---------------------------------------------------------
     def register_datanode(self, datanode: Datanode) -> None:

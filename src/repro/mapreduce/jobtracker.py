@@ -26,7 +26,7 @@ from ..hdfs.block import Block
 from ..hdfs.namenode import Namenode
 from ..net.topology import NetworkTopology
 from ..sim.engine import Simulator
-from ..sim.events import Event, Interrupt
+from ..sim.events import Event
 from ..sim.monitor import CounterSet
 from .config import MRConfig
 from .job import (
@@ -144,7 +144,7 @@ class JobTracker:
         if self._monitor_started:
             return
         self._monitor_started = True
-        self.sim.process(self._expiry_monitor(), name="jt-expiry-monitor")
+        self.sim.call_soon(self._expiry_arm)
 
     def heartbeat_interval(self) -> float:
         """Per-tracker heartbeat period: the configured floor, lengthened
@@ -163,42 +163,45 @@ class JobTracker:
         trackers whose period exceeds the configured expiry."""
         return max(self.config.tracker_expiry, 4.0 * self.heartbeat_interval())
 
-    def _expiry_monitor(self):
+    def _expiry_arm(self, _arg=None) -> None:
+        """Schedule the next expiry check one period out.  ``start``
+        runs it through ``call_soon``: the monitor sleeps before its
+        first check."""
+        self.sim.call_after(self.config.expiry_check_period,
+                            self._expiry_tick)
+
+    def _expiry_tick(self, _arg) -> None:
         heap = self._expiry_heap
-        try:
-            while True:
-                yield self.sim.timeout(self.config.expiry_check_period)
-                now = self.sim.now
-                # Re-derive per tick: the effective expiry tracks the
-                # adaptive heartbeat period as the cluster grows/shrinks.
-                expiry = self.tracker_expiry()
-                cutoff = now - expiry
-                # Lazy heap: an entry's deadline is a *lower bound* on the
-                # tracker's true deadline (heartbeats only push it later),
-                # so anything with heap deadline >= now is provably alive
-                # and the tick costs O(actually-expired).
-                while heap and heap[0][0] < now:
-                    _, host = heappop(heap)
-                    desc = self._trackers.get(host)
-                    if desc is None or not desc.alive:
-                        continue  # lost/replaced; revival pushes anew
-                    if desc.last_heartbeat < cutoff:
-                        self._lost_tracker(desc)
-                    else:
-                        heappush(heap, (desc.last_heartbeat + expiry, host))
-                # Safety net: a task whose every attempt died without a
-                # failure report (a live tracker replaced in place) must
-                # return to the pending queue.  Only that replacement path
-                # orphans attempts silently, so the scan is gated on it.
-                if self._needs_orphan_scan:
-                    self._needs_orphan_scan = False
-                    for job in self.active_jobs():
-                        for task in list(job.running_map_tasks):
-                            self._requeue_if_needed(task)
-                        for task in list(job.running_reduce_tasks):
-                            self._requeue_if_needed(task)
-        except Interrupt:
-            return
+        now = self.sim.now
+        # Re-derive per tick: the effective expiry tracks the
+        # adaptive heartbeat period as the cluster grows/shrinks.
+        expiry = self.tracker_expiry()
+        cutoff = now - expiry
+        # Lazy heap: an entry's deadline is a *lower bound* on the
+        # tracker's true deadline (heartbeats only push it later),
+        # so anything with heap deadline >= now is provably alive
+        # and the tick costs O(actually-expired).
+        while heap and heap[0][0] < now:
+            _, host = heappop(heap)
+            desc = self._trackers.get(host)
+            if desc is None or not desc.alive:
+                continue  # lost/replaced; revival pushes anew
+            if desc.last_heartbeat < cutoff:
+                self._lost_tracker(desc)
+            else:
+                heappush(heap, (desc.last_heartbeat + expiry, host))
+        # Safety net: a task whose every attempt died without a
+        # failure report (a live tracker replaced in place) must
+        # return to the pending queue.  Only that replacement path
+        # orphans attempts silently, so the scan is gated on it.
+        if self._needs_orphan_scan:
+            self._needs_orphan_scan = False
+            for job in self.active_jobs():
+                for task in list(job.running_map_tasks):
+                    self._requeue_if_needed(task)
+                for task in list(job.running_reduce_tasks):
+                    self._requeue_if_needed(task)
+        self._expiry_arm()
 
     # -- tracker protocol ------------------------------------------------------------
     def _live_count_changed(self, delta: int) -> None:
