@@ -217,7 +217,7 @@ class HOGSystem:
         """Install (or remove, with ``None``) the causal tracer.
 
         One call wires every emission site: the jobtracker (job/attempt
-        spans, heartbeat rounds), the namenode (datanodes read it for
+        spans, heartbeat marks), the namenode (datanodes read it for
         HDFS flow spans), the glidein factory (preemption bursts), and
         the channel core (filling passes).  Nodes provisioned later pick
         it up through their master daemons, so attaching before or after
@@ -345,7 +345,6 @@ class HOGSystem:
         index = getattr(jt.scheduler, "index", None)
         return {
             "heartbeats": jt.heartbeats,
-            "heartbeat_rounds": jt.heartbeat_rounds,
             "sched_index_updates": index.updates if index is not None else 0,
             "nn_block_reports": nn.counters.get("block_reports"),
             "nn_block_report_blocks": nn.counters.get("block_report_blocks"),

@@ -87,12 +87,8 @@ class JobTracker:
         #: keys off it (a finish must not clear markers; a submit plus a
         #: finish at one instant must).
         self.jobs_submitted_seq = 0
-        #: Heartbeats processed / distinct heartbeat rounds started.  A
-        #: *round* is one (sim instant, jobs_version) pair: every tracker
-        #: heartbeating at that instant shares the round's snapshots.
+        #: Heartbeats processed.
         self.heartbeats = 0
-        self.heartbeat_rounds = 0
-        self._round_key: Optional[tuple] = None
         self._trackers: Dict[str, TrackerDescriptor] = {}
         #: Lazy (deadline, host) min-heap for tracker expiry: entries are
         #: pushed on (re-)registration, never per heartbeat, and deadlines
@@ -113,7 +109,7 @@ class JobTracker:
         self._tracker_failures: Dict[tuple, int] = {}
         self.counters = CounterSet()
         #: Optional :class:`~repro.obs.trace.Tracer` for job/attempt spans
-        #: and heartbeat-round marks; ``None`` disables all emission.
+        #: and heartbeat marks; ``None`` disables all emission.
         self.tracer = None
         #: Fired with the Job whenever one finishes (success or failure).
         self.job_done_listeners: List[Callable[[Job], None]] = []
@@ -239,19 +235,11 @@ class JobTracker:
                      (self.sim.now + self.tracker_expiry(), tracker.host))
             self._live_count_changed(+1)
         self.heartbeats += 1
-        round_key = (self.sim.now, self.jobs_version)
-        if round_key != self._round_key:
-            # First heartbeat of this (instant, job-list) round: let the
-            # scheduler refresh its round-scoped snapshots once; the other
-            # trackers landing at this instant share them.
-            self._round_key = round_key
-            self.heartbeat_rounds += 1
-            tr = self.tracer
-            if tr is not None:
-                tr.instant("control", "heartbeat-round", self.sim.now,
-                           "jobtracker", args={"round": self.heartbeat_rounds,
-                                               "trackers": self._live_trackers})
-            self.scheduler.begin_round()
+        tr = self.tracer
+        if tr is not None:
+            tr.instant("control", "heartbeat", self.sim.now, "jobtracker",
+                       args={"host": tracker.host,
+                             "trackers": self._live_trackers})
         for task, speculative, locality in self.scheduler.assign(tracker):
             self._launch(task, tracker, speculative, locality)
 

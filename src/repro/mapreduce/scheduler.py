@@ -42,11 +42,6 @@ class TaskScheduler:
         self.jobtracker = jobtracker
         self.config = jobtracker.config
 
-    def begin_round(self) -> None:
-        """Hook: the jobtracker starts a new heartbeat *round* (first
-        heartbeat at a sim instant, or the job list changed mid-instant).
-        Round-scoped snapshots/resets go here, not in :meth:`assign`."""
-
     def assign(self, tracker: "TaskTracker") -> List[Tuple[Task, bool, str]]:
         """Return ``(task, speculative, locality)`` assignments for one
         heartbeat from ``tracker``.  ``locality`` is one of ``data_local``,
@@ -70,13 +65,11 @@ class FifoScheduler(TaskScheduler):
     def _job_removed(self, job: Job) -> None:
         """Hook: ``job`` left the schedulable set (finished/failed)."""
 
-    def begin_round(self) -> None:
-        """Reconcile the index once per heartbeat round."""
-        self._refresh_index()
-
-    def _refresh_index(self, jobs: Optional[List[Job]] = None) -> None:
-        if jobs is None:
-            jobs = self.jobtracker.schedulable_jobs()
+    def _refresh_index(self, jobs: List[Job]) -> None:
+        """Reconcile the index with ``jobs`` and promote passed
+        speculation gates.  Idempotent within an instant: ``sync`` is
+        gated on ``jobs_version``, and snoozes only push gates later than
+        now, so a second pull at the same instant moves nothing."""
         self.index.sync(jobs)
         self.index.pull_spec(self.jobtracker.sim.now)
 
@@ -88,16 +81,16 @@ class FifoScheduler(TaskScheduler):
     def assign(self, tracker: "TaskTracker") -> List[Tuple[Task, bool, str]]:
         """One heartbeat's assignments for ``tracker`` (see base class)."""
         out: List[Tuple[Task, bool, str]] = []
+        jobs = self.jobtracker.schedulable_jobs()
+        # Every heartbeat reconciles, busy or not; O(1) unless the job
+        # list changed or a speculation gate passed.
+        self._refresh_index(jobs)
         free_maps = tracker.free_map_slots
         free_reduces = tracker.free_reduce_slots
         if free_maps <= 0 and free_reduces <= 0:
             return out  # fully busy worker: nothing to decide
-        jobs = self.jobtracker.schedulable_jobs()
         if not jobs:
             return out
-        # Defensive re-sync for direct assign() callers; O(1) when the
-        # round bookkeeping already ran (version-gated + lazy heap top).
-        self._refresh_index(jobs)
 
         for _ in range(min(free_maps, self.config.maps_per_heartbeat)):
             pick = self._pick_map(tracker, jobs, already=out)

@@ -10,7 +10,7 @@ the scattered ad-hoc counters that used to be hand-plucked per consumer:
   gauges on a configurable cadence into
   :class:`~repro.sim.monitor.StepSeries` timelines;
 - :mod:`repro.obs.trace` — a causal tracer (job → task attempt →
-  shuffle/HDFS flow spans with parent ids, heartbeat-round and
+  shuffle/HDFS flow spans with parent ids, heartbeat and
   filling-pass events) exportable as Chrome trace-event JSON;
 - :mod:`repro.obs.diff` — the run-diff engine behind
   ``python -m repro.obs.inspect --diff`` and the scale-sweep benchmark's

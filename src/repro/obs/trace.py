@@ -2,7 +2,7 @@
 
 Captures the causal chain the paper reasons about qualitatively —
 job → task attempt → shuffle / HDFS flow — as *span records* with parent
-ids, plus instantaneous control-plane marks (heartbeat rounds,
+ids, plus instantaneous control-plane marks (jobtracker heartbeats,
 channel-core filling passes, preemption bursts).  Everything is keyed by
 **sim time**; loading the export in Perfetto (or ``chrome://tracing``)
 shows the run on a sim-time axis with one lane per host/subsystem.
@@ -25,7 +25,7 @@ Categories used by the built-in instrumentation:
 ``task``    task-attempt spans (parent: the job span)
 ``shuffle`` reduce-side shuffle fetch spans (parent: attempt)
 ``hdfs``    datanode block receive/serve flow spans
-``control`` heartbeat-round marks (jobtracker)
+``control`` one mark per jobtracker heartbeat
 ``channel`` filling-pass marks with component size
 ``grid``    preemption bursts, glidein lifecycle marks
 ========== ==================================================

@@ -156,7 +156,7 @@ class ScenarioResult:
     #: Channel-core pass statistics plus the fabric's peak flow count
     #: (the registry's ``channel`` namespace).
     channel: Dict[str, int] = field(default_factory=dict)
-    #: Control-plane counters (heartbeat rounds, scheduler index updates,
+    #: Control-plane counters (heartbeats, scheduler index updates,
     #: namenode block-report aggregates) — the delta-driven path's cost
     #: (the registry's ``control`` namespace).
     control: Dict[str, int] = field(default_factory=dict)
