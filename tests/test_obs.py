@@ -305,7 +305,7 @@ class TestInspectCli:
             "channel": {"rebalances": 10, "arrival_fast_paths": 90,
                         "departure_fast_paths": 0,
                         "completion_fast_paths": 0},
-            "control": {"heartbeat_rounds": 42},
+            "control": {"sched_index_updates": 42},
             "locality": {}, "preemptions": {}, "failed_jobs": 0,
             "jobs_completed": 7, "node_area": None, "balancer": None,
             "timelines": {"ramp": {"running_nodes":
@@ -321,7 +321,7 @@ class TestInspectCli:
         assert inspect_main([path]) == 0
         out = capsys.readouterr().out
         assert "scenario 'baseline'" in out
-        assert "[channel]" in out and "heartbeat_rounds" in out
+        assert "[channel]" in out and "sched_index_updates" in out
         assert "running_nodes" in out  # the timeline plot rendered
 
     def test_diff_flags_injected_regression(self, tmp_path, capsys):
