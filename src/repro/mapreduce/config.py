@@ -68,10 +68,6 @@ class MRConfig:
     #: Task scheduler: ``fifo`` (HOG's choice, §III-B2), ``delay``
     #: (Zaharia et al. [3]), or ``matchmaking`` (He et al. [20]).
     scheduler: str = "fifo"
-    #: Debug: assign via the original per-heartbeat all-jobs scan instead
-    #: of the cluster pending index.  Exists so the equivalence suite can
-    #: prove the two paths emit identical assignment streams; never faster.
-    debug_scan_assign: bool = False
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent settings."""

@@ -15,10 +15,12 @@ Scheduling is *index-driven*: the cluster-wide
 task-state events, and a heartbeat walks only the jobs that can actually
 yield work (pending work present, or a speculation gate passed).  The
 steady-state heartbeat — no pending work, all gates in the future — costs
-O(1).  The original per-heartbeat all-jobs scan survives behind
-``MRConfig.debug_scan_assign``; the two paths share the same per-job
-decision bodies and the same event-maintained lists, so they produce
-bit-identical assignment streams (the equivalence suite asserts this).
+O(1).  Every heartbeat first reconciles the index (O(1) unless the job
+list changed or a speculation gate passed).  The per-job decision bodies
+are written so that skipping a job the index leaves out cannot change
+the outcome: ``tests/test_scheduler_equivalence.py`` replays scenarios
+with the candidate walks widened to every schedulable job (the original
+all-jobs scan) and asserts bit-identical assignment streams.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ class FifoScheduler(TaskScheduler):
         super().__init__(jobtracker)
         self.index = ClusterPendingIndex(jobtracker,
                                          on_job_removed=self._job_removed)
-        #: Debug fallback: the original per-heartbeat all-jobs scan.  Kept
-        #: for the scheduler-equivalence suite; decision bodies are shared
-        #: with the index path.
-        self.use_scan = bool(getattr(self.config, "debug_scan_assign", False))
 
     # -- lifecycle hooks -----------------------------------------------------
     def _job_removed(self, job: Job) -> None:
@@ -93,25 +91,23 @@ class FifoScheduler(TaskScheduler):
             return out
 
         for _ in range(min(free_maps, self.config.maps_per_heartbeat)):
-            pick = self._pick_map(tracker, jobs, already=out)
+            pick = self._pick_map(tracker, already=out)
             if pick is None:
                 break
             out.append(pick)
 
         for _ in range(min(free_reduces, self.config.reduces_per_heartbeat)):
-            pick = self._pick_reduce(tracker, jobs, already=out)
+            pick = self._pick_reduce(tracker, already=out)
             if pick is None:
                 break
             out.append(pick)
         return out
 
     # -- map selection -------------------------------------------------------
-    def _pick_map(self, tracker, jobs, already) -> Optional[Tuple[Task, bool, str]]:
+    def _pick_map(self, tracker, already) -> Optional[Tuple[Task, bool, str]]:
         chosen_tasks = {t for t, _, _ in already}
         speculative = self.config.speculative_execution
-        candidates = (jobs if self.use_scan
-                      else self.index.map_candidates(speculative))
-        for job in candidates:
+        for job in self.index.map_candidates(speculative):
             pick = self._try_map(job, tracker, chosen_tasks)
             if pick is not None:
                 return pick
@@ -119,11 +115,11 @@ class FifoScheduler(TaskScheduler):
 
     def _try_map(self, job: Job, tracker,
                  chosen_tasks) -> Optional[Tuple[Task, bool, str]]:
-        """The per-job map decision body (shared by scan and index paths).
+        """The per-job map decision body.
 
         Must be side-effect-free and ``None`` for any job with neither a
         pending nor a probe-worthy running map — that is what lets the
-        index path skip such jobs without changing the stream."""
+        index skip such jobs without changing the stream."""
         if tracker.host in job.blacklist:
             return None
         if job.pending_map_tasks:
@@ -174,12 +170,10 @@ class FifoScheduler(TaskScheduler):
         return "remote"
 
     # -- reduce selection ----------------------------------------------------
-    def _pick_reduce(self, tracker, jobs, already) -> Optional[Tuple[Task, bool, str]]:
+    def _pick_reduce(self, tracker, already) -> Optional[Tuple[Task, bool, str]]:
         chosen_tasks = {t for t, _, _ in already}
         speculative = self.config.speculative_execution
-        candidates = (jobs if self.use_scan
-                      else self.index.reduce_candidates(speculative))
-        for job in candidates:
+        for job in self.index.reduce_candidates(speculative):
             pick = self._try_reduce(job, tracker, chosen_tasks)
             if pick is not None:
                 return pick
@@ -187,7 +181,7 @@ class FifoScheduler(TaskScheduler):
 
     def _try_reduce(self, job: Job, tracker,
                     chosen_tasks) -> Optional[Tuple[Task, bool, str]]:
-        """Per-job reduce decision body (shared by scan and index paths)."""
+        """Per-job reduce decision body."""
         if tracker.host in job.blacklist:
             return None
         if not job.reduces_schedulable(self.config.reduce_slowstart):
@@ -212,7 +206,7 @@ class FifoScheduler(TaskScheduler):
                            chosen_tasks) -> Optional[Task]:
         """Probe + arming maintenance: an empty-handed probe that pushed
         the job's gate into the future snoozes it in the cluster index, so
-        the index path stops visiting it until the gate passes (or a
+        the candidate walks stop visiting it until the gate passes (or a
         completion re-arms it)."""
         # Gate-still-closed is the overwhelmingly common probe outcome
         # (completions re-arm jobs constantly): answer it with one float

@@ -1,15 +1,18 @@
-"""Equivalence proof for the indexed assignment path (PR 6 tentpole).
+"""Equivalence proof for the indexed assignment path.
 
-The scheduler refactor replaced the per-heartbeat all-jobs scan with
-cluster-wide pending indexes updated on task-state events.  The old scan
-survives behind ``MRConfig.debug_scan_assign`` for exactly this suite:
-run registry scenarios under both paths and assert the *assignment
-streams* — every (time, job, task, host, speculative, locality) launch
-tuple, in order — are identical per seed.
+The schedulers walk cluster-wide pending indexes updated on task-state
+events instead of scanning every job on every heartbeat.  The reference
+all-jobs scan lives here: it patches the index's candidate providers to
+return every schedulable job, so the shared per-job decision bodies see
+each job the original scan visited.  Run registry scenarios both ways
+and assert the *assignment streams* — every (time, job, task, host,
+speculative, locality) launch tuple, in order — are identical per seed.
 
 Scenarios are shrunk (nodes/scale) so the suite stays in the fast tier;
-the combos cover all three schedulers and the churn-heavy scenario where
-requeues, tracker loss, and speculation interact with the indexes.
+the combos cover all three schedulers, the churn-heavy scenario where
+requeues, tracker loss, and speculation interact with the indexes, and
+the blackout scenario, where a site outage requeues work mid-run and
+several trackers heartbeat at one instant.
 
 A separate determinism guard runs the 10k smoke shape twice and asserts
 identical ``ScenarioResult.payload()`` dicts (slow tier).
@@ -21,6 +24,7 @@ import pytest
 
 from repro.mapreduce.config import hog_mr_config
 from repro.mapreduce.jobtracker import JobTracker
+from repro.mapreduce.pending_index import ClusterPendingIndex
 from repro.scenarios import registry
 from repro.scenarios.runner import ScenarioRunner
 
@@ -45,21 +49,38 @@ def _capture_stream(spec):
     return stream, result
 
 
-def _spec_for(scenario, scheduler, scan, *, n_nodes, scale, seed):
+#: The index queries the schedulers draw candidate jobs from.
+_CANDIDATE_PROVIDERS = ("map_candidates", "reduce_candidates",
+                        "jobs_with_local_maps", "jobs_with_site_maps")
+
+
+def _every_schedulable_job(self, *_args):
+    return self.jobtracker.schedulable_jobs()
+
+
+def _capture_scan_stream(spec):
+    """The reference: the same run with every candidate walk widened to
+    all schedulable jobs in FIFO order."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in _CANDIDATE_PROVIDERS:
+            mp.setattr(ClusterPendingIndex, name, _every_schedulable_job)
+        return _capture_stream(spec)
+
+
+def _spec_for(scenario, scheduler, *, n_nodes, scale, seed):
     spec = registry.build(scenario, n_nodes=n_nodes, scale=scale, seed=seed)
     spec.scheduler = scheduler
     mr = spec.cluster.mr or hog_mr_config()
-    spec.cluster.mr = replace(mr, scheduler=scheduler,
-                              debug_scan_assign=scan)
+    spec.cluster.mr = replace(mr, scheduler=scheduler)
     return spec
 
 
 def _assert_equivalent(scenario, scheduler, *, n_nodes, scale, seed):
-    scan_stream, scan_result = _capture_stream(
-        _spec_for(scenario, scheduler, True,
+    scan_stream, scan_result = _capture_scan_stream(
+        _spec_for(scenario, scheduler,
                   n_nodes=n_nodes, scale=scale, seed=seed))
     index_stream, index_result = _capture_stream(
-        _spec_for(scenario, scheduler, False,
+        _spec_for(scenario, scheduler,
                   n_nodes=n_nodes, scale=scale, seed=seed))
     assert scan_stream, f"{scenario}/{scheduler}: no assignments captured"
     assert scan_stream == index_stream, (
@@ -90,6 +111,12 @@ class TestScanIndexEquivalence:
     def test_churn_heavy_matchmaking(self):
         _assert_equivalent("churn_heavy", "matchmaking",
                            n_nodes=25, scale=0.08, seed=7)
+
+    def test_blackout_fifo(self):
+        # Five trackers lost and ten maps re-executed at this size, and
+        # many heartbeats share an instant.
+        _assert_equivalent("blackout", "fifo",
+                           n_nodes=25, scale=0.08, seed=3)
 
 
 @pytest.mark.slow
