@@ -57,10 +57,10 @@ is then a guarantee, checkable in O(1), that no churn inside the site can
 re-rate (or even visit) any other site's demands.
 
 **Heap batching.**  All wake-ups go through
-:meth:`~repro.sim.engine.Simulator.call_at` (the callback-timer twin of
-``wakeup_at``), so the many groups that finish at the same simulated
-instant share a single event-heap entry and dispatch without event-object
-or generator-resume overhead.
+:meth:`~repro.sim.engine.Simulator.call_at`, whose callback timers are
+shared per timestamp, so the many groups that finish at the same
+simulated instant share a single event-heap entry and dispatch without
+event-object or generator-resume overhead.
 
 Same-instant changes batch into one scheduled pass (`_mark_dirty`), and
 completions that land exactly on a pass's timestamp are drained by that

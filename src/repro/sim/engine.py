@@ -58,8 +58,7 @@ class Simulator:
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._counter = count()
         self._active_proc: Optional[Process] = None
-        #: Pending shared wake-ups by absolute timestamp (see `wakeup_at`
-        #: and `call_at`).
+        #: Pending shared wake-ups by absolute timestamp (see `call_at`).
         self._wakeups: dict = {}
         #: Free lists of fired, recyclable event objects (see
         #: :class:`~repro.sim.events.Timeout` /
@@ -138,12 +137,14 @@ class Simulator:
     def call_at(self, when: float, fn, arg: Any = None) -> CallbackTimer:
         """Call ``fn(arg)`` at absolute sim time ``when`` (coalesced).
 
-        The callback-timer twin of :meth:`wakeup_at`: all callers asking
-        for the same timestamp before it fires share a single heap entry,
-        and their ``(fn, arg)`` pairs run in registration order at
-        dispatch — no event value, no callbacks-list churn, no generator
-        resume.  ``when`` at or before the current time fires "now"
-        (still asynchronously).  The returned timer is pooled; never
+        All callers asking for the same timestamp before it fires share a
+        single heap entry, and their ``(fn, arg)`` pairs run in
+        registration order at dispatch — no event value, no
+        callbacks-list churn, no generator resume.  This keeps
+        same-instant completion cascades (many channel groups finishing
+        together) at O(1) heap traffic instead of one entry per waiter.
+        ``when`` at or before the current time fires "now" (still
+        asynchronously).  The returned timer is pooled; never
         retain it past its fire, and never ``yield`` it.
         """
         t = self._wakeups.get(when)
@@ -196,33 +197,6 @@ class Simulator:
         fns = t._fns
         fns.append(fn)
         fns.append(arg)
-        return t
-
-    def wakeup_at(self, when: float) -> CallbackTimer:
-        """A *shared* timer event firing at absolute time ``when``.
-
-        All callers asking for the same timestamp before it fires get the
-        same event — and therefore share a single event-heap entry.  This
-        is what keeps same-instant completion cascades (many channel
-        groups finishing together, a batch of rebalances at one heartbeat
-        tick) at O(1) heap traffic instead of one entry per waiter.
-
-        ``when`` at or before the current time fires "now" (still
-        asynchronously, like ``timeout(0)``).  Append callbacks to the
-        returned event; they run after any :meth:`call_at` pairs sharing
-        the instant.  Do not yield it from long-lived processes that
-        might be interrupted (interrupt detach would scan the shared
-        callback list), and never retain it past its fire (the timer is
-        pooled).
-        """
-        t = self._wakeups.get(when)
-        if t is None:
-            t = self._acquire_timer(when if when > self._now else self._now,
-                                    NORMAL)
-            t.when = when
-            self._wakeups[when] = t
-        if t.callbacks is None:
-            t.callbacks = []
         return t
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
