@@ -1,8 +1,11 @@
 """The discrete-event simulation core.
 
-:class:`Simulator` owns simulated time and the event heap.  All daemons in
-the reproduction (datanodes, tasktrackers, the glidein factory, preemption
-processes, ...) are generator processes driven by one simulator instance.
+:class:`Simulator` owns simulated time and the event heap.  Work that
+waits on events and may be interrupted (task attempts, glidein startup,
+transfers, fault replays) runs as generator processes; periodic daemons
+(heartbeats, monitors, the glidein negotiation cycle) are chains of
+callback timers (:meth:`Simulator.call_after` and friends).  One
+simulator instance drives both.
 
 Example
 -------

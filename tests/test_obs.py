@@ -128,6 +128,14 @@ class TestChromeExport:
         # The whole document round-trips through JSON.
         json.loads(json.dumps(doc))
 
+    def test_one_control_mark_per_heartbeat(self, obs_matrix):
+        runner = obs_matrix["churn_heavy"]["full"][0]
+        tracer = runner.tracer
+        assert tracer.by_category["control"] == \
+            runner.system.jobtracker.heartbeats > 0
+        names = {rec[3] for rec in tracer.records() if rec[2] == "control"}
+        assert names == {"heartbeat"}
+
     def test_ring_buffer_bounds_and_category_filter(self):
         tracer = Tracer(capacity=10, categories=["task"])
         for i in range(25):
