@@ -33,13 +33,12 @@ def fig4_result():
 def test_fig4_regenerate(benchmark, fig4_result):
     # The sweep itself is minutes long; benchmark a single representative
     # HOG point so pytest-benchmark has a stable, bounded measurement.
-    from repro.experiments.common import HogRunSettings, run_facebook_on_hog
-    from repro.experiments import calibration
+    from repro.scenarios import ScenarioRunner, registry
 
     def one_point():
-        return run_facebook_on_hog(HogRunSettings(
-            n_nodes=55, seed=123, scale=min(SCALE, 0.1),
-            loadgen=calibration.default_loadgen()))
+        spec = registry.build("baseline", n_nodes=55,
+                              scale=min(SCALE, 0.1), seed=123)
+        return ScenarioRunner(spec).run()
 
     benchmark.pedantic(one_point, rounds=1, iterations=1)
     emit(fig4_result.to_table())

@@ -48,9 +48,8 @@ if __package__ in (None, ""):
     if _src.is_dir() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
-from repro.experiments import calibration
 from repro.obs.diff import Thresholds, diff_reports
-from repro.scenarios import ScenarioRunner, registry
+from repro.scenarios import ScenarioRunner, calibration, registry
 from repro.scenarios.parallel import run_specs_parallel
 
 DEFAULT_NODE_COUNTS = (100, 250, 500, 1000)

@@ -11,13 +11,9 @@ Run:  python examples/facebook_workload.py [--nodes N] [--scale S]
 
 import argparse
 
-from repro.experiments import calibration
-from repro.experiments.common import (
-    HogRunSettings,
-    run_facebook_on_cluster,
-    run_facebook_on_hog,
-)
+from repro.experiments.fig4 import run_facebook_on_cluster
 from repro.metrics import format_table
+from repro.scenarios import ScenarioRunner, registry
 
 
 def main() -> None:
@@ -35,9 +31,12 @@ def main() -> None:
     print(f"  {cluster.summary()}")
 
     print(f"Running the same workload on HOG with {args.nodes} grid nodes...")
-    hog = run_facebook_on_hog(HogRunSettings(
-        n_nodes=args.nodes, seed=args.seed, scale=args.scale,
-        policy=calibration.default_grid_policy()))
+    # The registry's baseline is the Figure 4 configuration: calibrated
+    # grid hardware under typical churn.
+    runner = ScenarioRunner(registry.build(
+        "baseline", n_nodes=args.nodes, scale=args.scale, seed=args.seed))
+    runner.run()
+    hog = runner.workload
     print(f"  {hog.summary()}")
 
     rows = []

@@ -12,8 +12,11 @@ Subpackages:
 - ``repro.core``       the assembled HOG system
 - ``repro.workload``   the Facebook evaluation workload (Tables I/II)
 - ``repro.baselines``  dedicated cluster (Table III) and HOD
-- ``repro.metrics``    time series, areas, report tables
+- ``repro.scenarios``  declarative scenario specs, the registry, and the
+                       one runner every HOG run goes through
+- ``repro.metrics``    workload results, report tables, ASCII plots
 - ``repro.experiments`` drivers regenerating every table and figure
+                       (registry consumers)
 """
 
 __version__ = "1.0.0"

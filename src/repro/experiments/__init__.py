@@ -1,13 +1,16 @@
 """Experiment drivers: one module per paper table/figure.
 
+Every HOG run here is a registry :class:`~repro.scenarios.spec.ScenarioSpec`
+executed by :class:`~repro.scenarios.runner.ScenarioRunner`; the drivers
+only choose specs and fold results.
+
 - :mod:`repro.experiments.tables` — Tables I, II, III
-- :mod:`repro.experiments.fig4` — equivalent performance sweep
+- :mod:`repro.experiments.fig4` — equivalent performance sweep, and the
+  Table III cluster run it compares against
 - :mod:`repro.experiments.fig5` — node fluctuation + Table IV
 - :mod:`repro.experiments.ablations` — design-choice ablations + HOD
-- :mod:`repro.experiments.calibration` — shared constants
-- :mod:`repro.experiments.common` — workload runners
 """
 
-from . import ablations, calibration, common, fig4, fig5, tables
+from . import ablations, fig4, fig5, tables
 
-__all__ = ["ablations", "calibration", "common", "fig4", "fig5", "tables"]
+__all__ = ["ablations", "fig4", "fig5", "tables"]

@@ -11,14 +11,21 @@ Each function isolates one mechanism the paper motivates:
   double-fork bug;
 - **speculative copies** (§VI future work): the configurable N-copies
   execution the paper proposes;
+- **scheduler** (§III-B2): FIFO vs delay scheduling vs matchmaking;
 - **HOD** (§V): per-job cluster reconstruction vs HOG's persistent
   platform.
+
+The ablations are data.  Every arm is the registry's ``baseline``
+scenario with the fault policy set and the cluster fields in
+:data:`ARMS` changed (:func:`arm_spec`); :func:`run_arms` runs any
+ablation's arms through the one
+:class:`~repro.scenarios.runner.ScenarioRunner` loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -28,26 +35,75 @@ from ..grid.site import SitePolicy
 from ..hdfs.config import hog_config
 from ..mapreduce.config import hog_mr_config
 from ..metrics.report import WorkloadResult, format_table
+from ..scenarios import ScenarioRunner, ScenarioSpec, calibration, registry
 from ..workload.schedule import build_facebook_schedule
-from . import calibration
-from .common import HogRunSettings, run_facebook_on_hog
 
 __all__ = [
+    "ARMS",
+    "arm_spec",
+    "run_arms",
     "ablate_replication",
     "ablate_failure_detection",
     "ablate_site_awareness",
     "ablate_zombie_fix",
     "ablate_speculative_copies",
+    "compare_schedulers",
     "compare_hod",
 ]
 
+#: ``{arm key: {ClusterSpec field: value}}`` — one ablation's arms.
+Arms = Dict[Any, Dict[str, Any]]
 
-def _base_settings(n_nodes: int, seed: int, policy: Optional[SitePolicy],
-                   scale: float) -> HogRunSettings:
-    return HogRunSettings(
-        n_nodes=n_nodes, seed=seed,
-        policy=policy or calibration.unstable_policy(),
-        loadgen=calibration.default_loadgen(), scale=scale)
+#: Each ablation's arm builder: arm values → :data:`Arms`.
+ARMS: Dict[str, Callable[..., Arms]] = {
+    "replication": lambda factors=(3, 10): {
+        f: {"hdfs": hog_config(replication=f)} for f in factors},
+    "detection": lambda timeouts=(30.0, 900.0): {
+        t: {"hdfs": hog_config(heartbeat_timeout=t),
+            "mr": hog_mr_config(tracker_expiry=t)} for t in timeouts},
+    "site": lambda: {on: {"site_awareness": on} for on in (True, False)},
+    # With the fix off the datanode disk self-check is off too, matching
+    # the original Datanode.java.
+    "zombie": lambda: {
+        fixed: {"wrapper": WrapperConfig(zombie_fix=fixed),
+                "hdfs": hog_config(
+                    disk_check_interval=180.0 if fixed else None)}
+        for fixed in (True, False)},
+    "copies": lambda copies=(1, 2, 3): {
+        n: {"mr": hog_mr_config(speculative_execution=(n > 1),
+                                max_task_copies=max(1, n))}
+        for n in copies},
+    # Low replication makes locality a real contest (10x replication
+    # makes every scheduler look perfect).
+    "schedulers": lambda: {
+        name: {"hdfs": hog_config(replication=2),
+               "mr": hog_mr_config(scheduler=name)}
+        for name in ("fifo", "delay", "matchmaking")},
+}
+
+
+def arm_spec(n_nodes: int, scale: float, seed: int, policy: SitePolicy,
+             **changes: Any) -> ScenarioSpec:
+    """The registry ``baseline`` under ``policy`` with the given
+    :class:`~repro.scenarios.spec.ClusterSpec` fields changed."""
+    spec = registry.build("baseline", n_nodes=n_nodes, scale=scale,
+                          seed=seed)
+    spec.faults.policy = policy
+    spec.cluster = replace(spec.cluster, **changes)
+    return spec
+
+
+def run_arms(arms: Arms, n_nodes: int, scale: float, seed: int,
+             policy: Optional[SitePolicy] = None) -> Dict[Any, WorkloadResult]:
+    """Run every arm on the same workload (unstable churn by default)."""
+    policy = policy or calibration.unstable_policy()
+    out: Dict[Any, WorkloadResult] = {}
+    for key, changes in arms.items():
+        runner = ScenarioRunner(arm_spec(n_nodes, scale, seed, policy,
+                                         **changes))
+        runner.run()
+        out[key] = runner.workload
+    return out
 
 
 def ablate_replication(factors=(3, 10), n_nodes: int = 55, seed: int = 5,
@@ -55,12 +111,8 @@ def ablate_replication(factors=(3, 10), n_nodes: int = 55, seed: int = 5,
                        policy: Optional[SitePolicy] = None) -> Dict[int, WorkloadResult]:
     """Workload response and data-availability counters vs replication
     factor, under churn."""
-    out: Dict[int, WorkloadResult] = {}
-    for factor in factors:
-        settings = _base_settings(n_nodes, seed, policy, scale)
-        settings.hdfs = hog_config(replication=factor)
-        out[factor] = run_facebook_on_hog(settings)
-    return out
+    return run_arms(ARMS["replication"](factors), n_nodes, scale, seed,
+                    policy)
 
 
 def ablate_failure_detection(timeouts=(30.0, 900.0), n_nodes: int = 55,
@@ -70,13 +122,8 @@ def ablate_failure_detection(timeouts=(30.0, 900.0), n_nodes: int = 55,
 
     With slow detection, blocks on dead nodes are not re-replicated and
     lost tasks sit unnoticed until expiry."""
-    out: Dict[float, WorkloadResult] = {}
-    for timeout in timeouts:
-        settings = _base_settings(n_nodes, seed, policy, scale)
-        settings.hdfs = hog_config(heartbeat_timeout=timeout)
-        settings.mr = hog_mr_config(tracker_expiry=timeout)
-        out[timeout] = run_facebook_on_hog(settings)
-    return out
+    return run_arms(ARMS["detection"](timeouts), n_nodes, scale, seed,
+                    policy)
 
 
 def ablate_site_awareness(n_nodes: int = 55, seed: int = 7, scale: float = 1.0,
@@ -86,12 +133,7 @@ def ablate_site_awareness(n_nodes: int = 55, seed: int = 7, scale: float = 1.0,
     Off = every node in one flat domain: placement cannot spread replicas
     across sites (burst preemptions can take out all copies) and the
     scheduler cannot prefer nearby data."""
-    out: Dict[bool, WorkloadResult] = {}
-    for enabled in (True, False):
-        settings = _base_settings(n_nodes, seed, policy, scale)
-        settings.site_awareness = enabled
-        out[enabled] = run_facebook_on_hog(settings)
-    return out
+    return run_arms(ARMS["site"](), n_nodes, scale, seed, policy)
 
 
 def ablate_zombie_fix(n_nodes: int = 55, seed: int = 8, scale: float = 1.0,
@@ -100,16 +142,8 @@ def ablate_zombie_fix(n_nodes: int = 55, seed: int = 8, scale: float = 1.0,
 
     Off reproduces the first-iteration HOG: preempted nodes leave zombie
     daemons that keep heartbeating, eat task attempts, and pin phantom
-    replicas.  (With the fix off we also disable the datanode disk
-    self-check, matching the original Datanode.java.)"""
-    out: Dict[bool, WorkloadResult] = {}
-    for fixed in (True, False):
-        settings = _base_settings(n_nodes, seed, policy, scale)
-        settings.wrapper = WrapperConfig(zombie_fix=fixed)
-        settings.hdfs = hog_config(
-            disk_check_interval=180.0 if fixed else None)
-        out[fixed] = run_facebook_on_hog(settings)
-    return out
+    replicas."""
+    return run_arms(ARMS["zombie"](), n_nodes, scale, seed, policy)
 
 
 def ablate_speculative_copies(copies=(1, 2, 3), n_nodes: int = 55,
@@ -120,14 +154,19 @@ def ablate_speculative_copies(copies=(1, 2, 3), n_nodes: int = 55,
 
     ``copies=1`` disables speculation; 2 is stock Hadoop; ≥3 is the
     proposed extension."""
-    out: Dict[int, WorkloadResult] = {}
-    for n_copies in copies:
-        settings = _base_settings(n_nodes, seed, policy, scale)
-        settings.mr = hog_mr_config(
-            speculative_execution=(n_copies > 1),
-            max_task_copies=max(1, n_copies))
-        out[n_copies] = run_facebook_on_hog(settings)
-    return out
+    return run_arms(ARMS["copies"](copies), n_nodes, scale, seed, policy)
+
+
+def compare_schedulers(n_nodes: int = 40, seed: int = 12, scale: float = 0.25,
+                       policy: Optional[SitePolicy] = None) -> Dict[str, WorkloadResult]:
+    """FIFO (HOG's scheduler, §III-B2) vs delay scheduling [3] vs
+    matchmaking [20] on the same workload, under stable churn.
+
+    The comparison of interest is map-launch *locality* (and, secondarily,
+    response time): the alternatives trade a little waiting for a lot of
+    locality when replication is low."""
+    return run_arms(ARMS["schedulers"](), n_nodes, scale, seed,
+                    policy or calibration.stable_policy())
 
 
 @dataclass
@@ -158,8 +197,8 @@ def compare_hod(n_nodes: int = 55, seed: int = 10, scale: float = 0.25,
     HOD requests run back-to-back (its head node and cluster are rebuilt
     per request), so its workload response is the sum of per-request
     responses beyond the submission schedule."""
-    settings = _base_settings(n_nodes, seed, calibration.stable_policy(), scale)
-    hog_result = run_facebook_on_hog(settings)
+    hog_result = run_arms({"HOG": {}}, n_nodes, scale, seed,
+                          calibration.stable_policy())["HOG"]
 
     rng = np.random.default_rng(seed + 77)
     schedule = build_facebook_schedule(rng, calibration.default_loadgen(),
@@ -180,30 +219,3 @@ def compare_hod(n_nodes: int = 55, seed: int = 10, scale: float = 0.25,
         hod_total_response=t,
         hod_mean_overhead_fraction=overhead,
         n_jobs=len(results))
-
-
-def compare_schedulers(n_nodes: int = 40, seed: int = 12, scale: float = 0.25,
-                       policy: Optional[SitePolicy] = None) -> Dict[str, WorkloadResult]:
-    """FIFO (HOG's scheduler, §III-B2) vs delay scheduling [3] vs
-    matchmaking [20] on the same workload.
-
-    The comparison of interest is map-launch *locality* (and, secondarily,
-    response time): the alternatives trade a little waiting for a lot of
-    locality when replication is low."""
-    from ..hdfs.config import hog_config as _hog_config
-    from ..mapreduce.delay_scheduler import DelayScheduler
-    from ..mapreduce.matchmaking import MatchmakingScheduler
-    from ..mapreduce.scheduler import FifoScheduler
-
-    factories = {"fifo": FifoScheduler, "delay": DelayScheduler,
-                 "matchmaking": MatchmakingScheduler}
-    out: Dict[str, WorkloadResult] = {}
-    for name, factory in factories.items():
-        settings = _base_settings(n_nodes, seed, policy or
-                                  calibration.stable_policy(), scale)
-        # Low replication makes locality a real contest (10x replication
-        # makes every scheduler look perfect).
-        settings.hdfs = _hog_config(replication=2)
-        settings.mr = hog_mr_config(scheduler=name)
-        out[name] = run_facebook_on_hog(settings)
-    return out

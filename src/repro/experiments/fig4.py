@@ -17,18 +17,26 @@ This driver regenerates the full sweep.  Checked shape properties:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..baselines.dedicated import DedicatedCluster, table3_config
 from ..metrics.report import format_table
-from ..scenarios import ScenarioRunner, registry
-from . import calibration
-from .common import run_facebook_on_cluster
+from ..scenarios import (
+    ScenarioRunner,
+    calibration,
+    collect_result,
+    drive_workload,
+    registry,
+)
+from ..sim.engine import Simulator
+from ..workload.schedule import build_facebook_schedule
 
 __all__ = ["Fig4Point", "Fig4Result", "run_fig4", "find_crossover",
-           "DEFAULT_NODE_COUNTS", "QUICK_NODE_COUNTS"]
+           "run_facebook_on_cluster", "DEFAULT_NODE_COUNTS",
+           "QUICK_NODE_COUNTS"]
 
 #: The paper's exact x-axis.
 DEFAULT_NODE_COUNTS: Tuple[int, ...] = calibration.PAPER_FIG4_NODE_COUNTS
@@ -107,6 +115,29 @@ def find_crossover(points: Sequence[Fig4Point],
     return None
 
 
+def run_facebook_on_cluster(seed: int = 0, scale: float = 1.0):
+    """Run the Table II workload on the Table III dedicated cluster (the
+    §IV-A protocol: register the daemons, upload the input, replay the
+    submission schedule)."""
+    sim = Simulator()
+    cfg = table3_config(fabric=calibration.cluster_fabric())
+    cluster = DedicatedCluster(sim, cfg)
+    sim.run(until=10.0)  # let daemons register
+    rng = np.random.default_rng(seed + 77)
+    schedule = build_facebook_schedule(
+        rng, calibration.default_loadgen(), scale=scale)
+    for input_file, n_blocks in schedule.inputs.items():
+        cluster.preload_input(input_file, n_blocks)
+
+    jobs: list = []
+    start = sim.now
+    drive_workload(sim, cluster, schedule, jobs, timeout=400_000.0)
+    end = sim.now
+    return collect_result(
+        f"Cluster({cfg.total_map_slots} cores)", cfg.total_nodes, jobs,
+        start, end, None, cluster.jobtracker)
+
+
 def run_fig4(node_counts: Sequence[int] = QUICK_NODE_COUNTS,
              runs_per_point: int = 1,
              scale: float = 1.0,
@@ -122,15 +153,13 @@ def run_fig4(node_counts: Sequence[int] = QUICK_NODE_COUNTS,
     :class:`~repro.scenarios.runner.ScenarioRunner` — this driver carries
     no setup code of its own.
     """
-    loadgen = calibration.default_loadgen()
-    cluster = run_facebook_on_cluster(seed=seed, scale=scale, loadgen=loadgen)
+    cluster = run_facebook_on_cluster(seed=seed, scale=scale)
     points: List[Fig4Point] = []
     for n in node_counts:
         responses, areas = [], []
         for r in range(runs_per_point):
             spec = registry.build("baseline", n_nodes=n, scale=scale,
                                   seed=seed + 1000 * r + n)
-            spec.workload.loadgen = loadgen
             if policy is not None:
                 spec.faults.policy = policy
             runner = ScenarioRunner(spec)

@@ -21,15 +21,13 @@ response, and among comparable runs the one with less area under the curve
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..grid.site import SitePolicy
 from ..metrics.report import format_table
-from ..scenarios import ScenarioRunner, registry
-from ..sim.monitor import StepSeries
-from . import calibration
+from ..scenarios import ScenarioRunner, calibration, registry
 
 __all__ = ["Fig5Run", "Fig5Result", "run_fig5"]
 

@@ -58,52 +58,49 @@ def _cmd_hod(args) -> None:
                                 scale=min(args.scale, 0.25)).to_table())
 
 
+def _data_local_share(r) -> str:
+    total = sum(r.locality.values()) or 1
+    return f"{100 * r.locality['data_local'] / total:.0f}%"
+
+
+#: ``--which`` name → (driver, title, arm column, counter column, cells),
+#: where ``cells(key, result)`` renders the arm and its counter.
+_ABLATION_TABLES = {
+    "replication": (ablations.ablate_replication,
+                    "Ablation: replication factor", "replication", "failed",
+                    lambda k, r: (k, r.failed_jobs)),
+    "detection": (ablations.ablate_failure_detection,
+                  "Ablation: failure detection", "timeout", "trackers lost",
+                  lambda t, r: (f"{t:.0f}s",
+                                r.counters.get("trackers_lost", 0))),
+    "site": (ablations.ablate_site_awareness, "Ablation: site awareness",
+             "awareness", "data-local maps",
+             lambda k, r: (k, r.locality["data_local"])),
+    "zombie": (ablations.ablate_zombie_fix, "Ablation: zombie fix", "fix",
+               "attempts failed",
+               lambda k, r: (k, r.counters.get("attempts_failed", 0))),
+    "copies": (ablations.ablate_speculative_copies,
+               "Ablation: N-copy execution (§VI)", "max copies", "backups",
+               lambda k, r: (k, r.counters.get("speculative_attempts", 0))),
+    "schedulers": (ablations.compare_schedulers, "Scheduler comparison",
+                   "scheduler", "data-local",
+                   lambda k, r: (k, _data_local_share(r))),
+}
+
+
 def _cmd_ablations(args) -> None:
     scale = min(args.scale, 0.25)
-    which = args.which or ["replication", "detection", "site", "zombie",
-                           "copies", "schedulers"]
-    if "replication" in which:
-        res = ablations.ablate_replication(scale=scale)
-        rows = [[f, f"{r.response_time:.0f}", r.failed_jobs]
-                for f, r in sorted(res.items())]
-        print(format_table(["replication", "response (s)", "failed"], rows,
-                           title="Ablation: replication factor"))
-    if "detection" in which:
-        res = ablations.ablate_failure_detection(scale=scale)
-        rows = [[f"{t:.0f}s", f"{r.response_time:.0f}",
-                 r.counters.get("trackers_lost", 0)]
-                for t, r in sorted(res.items())]
-        print(format_table(["timeout", "response (s)", "trackers lost"],
-                           rows, title="Ablation: failure detection"))
-    if "site" in which:
-        res = ablations.ablate_site_awareness(scale=scale)
-        rows = [[on, f"{r.response_time:.0f}", r.locality["data_local"]]
-                for on, r in sorted(res.items(), reverse=True)]
-        print(format_table(["awareness", "response (s)", "data-local maps"],
-                           rows, title="Ablation: site awareness"))
-    if "zombie" in which:
-        res = ablations.ablate_zombie_fix(scale=scale)
-        rows = [[on, f"{r.response_time:.0f}",
-                 r.counters.get("attempts_failed", 0)]
-                for on, r in sorted(res.items(), reverse=True)]
-        print(format_table(["fix", "response (s)", "attempts failed"], rows,
-                           title="Ablation: zombie fix"))
-    if "copies" in which:
-        res = ablations.ablate_speculative_copies(scale=scale)
-        rows = [[n, f"{r.response_time:.0f}",
-                 r.counters.get("speculative_attempts", 0)]
-                for n, r in sorted(res.items())]
-        print(format_table(["max copies", "response (s)", "backups"], rows,
-                           title="Ablation: N-copy execution (§VI)"))
-    if "schedulers" in which:
-        res = ablations.compare_schedulers(scale=scale)
+    which = args.which or list(_ABLATION_TABLES)
+    for name, (driver, title, arm_col, counter_col, cells) in \
+            _ABLATION_TABLES.items():
+        if name not in which:
+            continue
         rows = []
-        for name, r in res.items():
-            total = sum(r.locality.values()) or 1
-            rows.append([name, f"{r.response_time:.0f}",
-                         f"{100 * r.locality['data_local'] / total:.0f}%"])
-        print(format_table(["scheduler", "response (s)", "data-local"], rows,
-                           title="Scheduler comparison"))
+        for key, r in driver(scale=scale).items():
+            arm, counter = cells(key, r)
+            rows.append([arm, f"{r.response_time:.0f}", counter])
+        print(format_table([arm_col, "response (s)", counter_col], rows,
+                           title=title))
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,7 @@ Grid failure handling implemented here:
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..hdfs.block import Block
 from ..hdfs.namenode import Namenode
@@ -40,6 +40,9 @@ from .job import (
     TaskType,
 )
 from .tasktracker import TaskTracker
+
+if TYPE_CHECKING:
+    from .scheduler import TaskScheduler
 
 __all__ = ["JobTracker", "TrackerDescriptor", "JobFailedError"]
 
@@ -69,15 +72,12 @@ class JobTracker:
 
     def __init__(self, sim: Simulator, namenode: Namenode,
                  topology: NetworkTopology,
-                 config: Optional[MRConfig] = None,
-                 scheduler_factory: Optional[Callable] = None) -> None:
+                 config: Optional[MRConfig] = None) -> None:
         self.sim = sim
         self.namenode = namenode
         self.topology = topology
         self.config = config or MRConfig()
         self.config.validate()
-        if scheduler_factory is None:
-            scheduler_factory = self._resolve_scheduler(self.config.scheduler)
         #: Bumped whenever the schedulable-job list changes (submit or
         #: finish).  The scheduler's cluster index reconciles only when
         #: this moves, making its per-heartbeat sync O(1).
@@ -101,7 +101,9 @@ class JobTracker:
         self._needs_orphan_scan = False
         self._jobs: List[Job] = []
         self._next_job_id = 0
-        self.scheduler = scheduler_factory(self)
+        #: Chosen by ``config.scheduler``, the one scheduler knob.
+        self.scheduler: TaskScheduler = \
+            self._resolve_scheduler(self.config.scheduler)(self)
         self._input_blocks: Dict[int, List[Block]] = {}
         #: Fetch-failure strikes per (job_id, map_index).
         self._fetch_failures: Dict[tuple, int] = {}

@@ -1,8 +1,10 @@
-"""Measurement and reporting utilities."""
+"""Reporting utilities: workload results, tables, and ASCII plots.
+
+The time series and counters they summarise live in
+:mod:`repro.sim.monitor`.
+"""
 
 from .ascii_plot import plot_series, plot_xy
 from .report import WorkloadResult, format_table
-from ..sim.monitor import CounterSet, EventLog, StepSeries
 
-__all__ = ["WorkloadResult", "format_table", "StepSeries", "CounterSet",
-           "EventLog", "plot_series", "plot_xy"]
+__all__ = ["WorkloadResult", "format_table", "plot_series", "plot_xy"]

@@ -5,7 +5,8 @@ with one unified runner.
   (cluster shape, workload, fault model), dict/JSON round-trippable
 - :mod:`repro.scenarios.registry` — named built-ins (``baseline``,
   ``contended``, ``wan_staging``, ``hetero_tiers``,
-  ``rebalance_under_load``, ``churn_heavy``)
+  ``rebalance_under_load``, ``churn_heavy``, ``blackout``,
+  ``flaky_wan``)
 - :mod:`repro.scenarios.runner` — :class:`ScenarioRunner` →
   :class:`ScenarioResult` (makespan, per-phase wall/sim time,
   channel-core stats, locality and preemption counters)

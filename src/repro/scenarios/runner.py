@@ -16,8 +16,9 @@ from its declarative :class:`~repro.scenarios.spec.ScenarioSpec`:
    per-phase wall/sim time, channel-core pass statistics, locality and
    preemption counters.
 
-The experiment drivers (fig4/fig5) and the scale-sweep benchmark are thin
-consumers of this runner; they carry no private setup code.
+The experiment drivers (fig4/fig5, the ablations) and the scale-sweep
+benchmark are thin consumers of this runner; they carry no private setup
+code.
 """
 
 from __future__ import annotations
@@ -315,13 +316,10 @@ class ScenarioRunner:
         if c.uplink_caps:
             fabric = replace(fabric, site_uplink_overrides={
                 **fabric.site_uplink_overrides, **c.uplink_caps})
-        mr = c.mr or hog_mr_config()
-        if mr.scheduler != spec.scheduler:
-            mr = replace(mr, scheduler=spec.scheduler)
         return HOGConfig(
             sites=sites,
             hdfs=c.hdfs or hog_config(),
-            mr=mr,
+            mr=c.mr or hog_mr_config(),
             fabric=fabric,
             wrapper=c.wrapper or WrapperConfig(),
             node=c.node or calibration.grid_node_config(),

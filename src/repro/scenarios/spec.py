@@ -6,8 +6,9 @@ per-site hardware tiers, per-site WAN uplink caps), workload (Facebook
 loadgen parameters or an explicit pinned
 :class:`~repro.workload.schedule.SubmissionSchedule`), fault model
 (stochastic :class:`~repro.grid.site.SitePolicy` or a pinned
-:class:`~repro.grid.preemption.PreemptionTrace`), scheduler choice, and
-optional scenario phases (elastic growth, a concurrent HDFS balancer run).
+:class:`~repro.grid.preemption.PreemptionTrace`), and optional scenario
+phases (elastic growth, a concurrent HDFS balancer run).  The task
+scheduler is ``cluster.mr.scheduler``, like every other MapReduce knob.
 
 Specs round-trip through plain dicts / JSON (:meth:`ScenarioSpec.to_dict`
 / :meth:`ScenarioSpec.from_dict`), so scenarios can be catalogued,
@@ -122,8 +123,10 @@ class ClusterSpec:
             raise ValueError("capacity_headroom must be >= 1")
         if any(v <= 0 for v in self.uplink_caps.values()):
             raise ValueError("uplink caps must be positive")
-        for node in self.site_tiers.values():
-            node.validate()
+        for cfg in (self.node, self.fabric, self.hdfs, self.mr, self.wrapper,
+                    *self.site_tiers.values()):
+            if cfg is not None:
+                cfg.validate()
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -295,8 +298,6 @@ class ScenarioSpec:
     faults: FaultSpec = field(default_factory=FaultSpec)
     #: Telemetry configuration; the all-defaults instance means "off".
     obs: ObsSpec = field(default_factory=ObsSpec)
-    #: Task scheduler: ``fifo`` (the paper), ``delay``, or ``matchmaking``.
-    scheduler: str = "fifo"
     seed: int = 0
     #: Cap on simulated seconds per phase, for safety.
     timeout: float = 400_000.0
@@ -312,8 +313,6 @@ class ScenarioSpec:
         """Raise ``ValueError`` on inconsistent settings."""
         if not self.name:
             raise ValueError("a scenario needs a name")
-        if self.scheduler not in ("fifo", "delay", "matchmaking"):
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.grow_to is not None and self.grow_to < self.cluster.n_nodes:
@@ -335,7 +334,6 @@ class ScenarioSpec:
             "workload": self.workload.to_dict(),
             "faults": self.faults.to_dict(),
             "obs": self.obs.to_dict(),
-            "scheduler": self.scheduler,
             "seed": self.seed,
             "timeout": self.timeout,
             "grow_to": self.grow_to,

@@ -1,17 +1,27 @@
 """Tests for the experiment drivers (small scales for speed)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from repro.experiments import calibration
-from repro.experiments.common import (
-    HogRunSettings,
-    paper_sites_with_policy,
+from repro.experiments.ablations import ARMS, arm_spec
+from repro.experiments.fig4 import (
+    Fig4Point,
+    Fig4Result,
+    find_crossover,
     run_facebook_on_cluster,
-    run_facebook_on_hog,
 )
-from repro.experiments.fig4 import Fig4Point, Fig4Result, find_crossover
 from repro.experiments.tables import render_table1, render_table2, render_table3
+from repro.grid.site import sites_with_policy
+from repro.scenarios import ScenarioRunner, calibration
+
+
+def _run_baseline(n_nodes, seed, scale, policy):
+    """The registry baseline under ``policy``; its workload result."""
+    runner = ScenarioRunner(arm_spec(n_nodes, scale, seed, policy))
+    runner.run()
+    return runner.workload
 
 
 class TestCalibration:
@@ -32,12 +42,12 @@ class TestCalibration:
 
 class TestSitesHelper:
     def test_five_sites_with_headroom(self):
-        sites = paper_sites_with_policy(calibration.stable_policy(), 100)
+        sites = sites_with_policy(calibration.stable_policy(), 100)
         assert len(sites) == 5
         assert sum(s.capacity for s in sites) >= 130  # 30% headroom
 
     def test_distinct_domains(self):
-        sites = paper_sites_with_policy(calibration.stable_policy(), 10)
+        sites = sites_with_policy(calibration.stable_policy(), 10)
         assert len({s.domain for s in sites}) == 5
 
 
@@ -80,6 +90,34 @@ class TestCrossover:
         assert "Equivalent performance bracket: 40..100" in text
 
 
+class TestAblationArms:
+    """Every ablation arm resolves to the baseline arm's ``HOGConfig``
+    except in the cluster fields that ablation changes (no runs)."""
+
+    @staticmethod
+    def _config(**changes):
+        spec = arm_spec(20, 0.05, 3, calibration.unstable_policy(), **changes)
+        return ScenarioRunner(spec).build_config()
+
+    @pytest.mark.parametrize("name", sorted(ARMS))
+    def test_arms_differ_only_in_the_named_fields(self, name):
+        baseline = self._config()
+        configs = []
+        for key, changes in ARMS[name]().items():
+            assert changes, f"{name}[{key}] changes nothing"
+            cfg = self._config(**changes)
+            differing = {f.name for f in fields(cfg)
+                         if getattr(cfg, f.name) != getattr(baseline, f.name)}
+            assert differing <= set(changes), (name, key, differing)
+            for field_name, value in changes.items():
+                assert getattr(cfg, field_name) == value, (name, key)
+            configs.append(cfg)
+        # The arms are distinct experiments, not copies of one config.
+        assert len(configs) >= 2, name
+        assert all(a != b for i, a in enumerate(configs)
+                   for b in configs[i + 1:]), name
+
+
 @pytest.mark.slow
 class TestSmallEndToEnd:
     """Tiny-scale end-to-end runs of the experiment machinery."""
@@ -92,17 +130,15 @@ class TestSmallEndToEnd:
         assert len(res.bin_responses) == 6
 
     def test_hog_runner_completes(self):
-        res = run_facebook_on_hog(HogRunSettings(
-            n_nodes=12, seed=1, scale=0.05,
-            policy=calibration.stable_policy()))
+        res = _run_baseline(12, seed=1, scale=0.05,
+                            policy=calibration.stable_policy())
         assert res.failed_jobs == 0
         assert res.node_area is not None and res.node_area > 0
         assert sum(res.locality.values()) > 0
 
     def test_hog_runner_with_moderate_churn_completes(self):
-        res = run_facebook_on_hog(HogRunSettings(
-            n_nodes=12, seed=2, scale=0.05,
-            policy=calibration.default_grid_policy()))
+        res = _run_baseline(12, seed=2, scale=0.05,
+                            policy=calibration.default_grid_policy())
         assert res.failed_jobs == 0
 
     def test_hog_degrades_gracefully_under_meltdown_churn(self):
@@ -111,9 +147,8 @@ class TestSmallEndToEnd:
         # this regime by running >= 40 nodes).  The required behaviour is
         # graceful: failed jobs are declared failed, the rest complete,
         # and the run terminates.
-        res = run_facebook_on_hog(HogRunSettings(
-            n_nodes=12, seed=2, scale=0.05,
-            policy=calibration.unstable_policy()))
+        res = _run_baseline(12, seed=2, scale=0.05,
+                            policy=calibration.unstable_policy())
         total_jobs = res.failed_jobs + sum(
             len(v) for v in res.bin_responses.values())
         assert total_jobs == 7  # one job per bin at this scale, plus bin1

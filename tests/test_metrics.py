@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.metrics import CounterSet, EventLog, StepSeries, WorkloadResult, format_table
+from repro.metrics import WorkloadResult, format_table
+from repro.sim.monitor import CounterSet, EventLog, StepSeries
 
 
 class TestStepSeries:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics import StepSeries
 from repro.net import (
     DnsSiteResolver,
     FabricConfig,
@@ -12,6 +11,7 @@ from repro.net import (
     NetworkTopology,
 )
 from repro.sim import RngRegistry, Simulator
+from repro.sim.monitor import StepSeries
 from repro.storage import Disk
 
 

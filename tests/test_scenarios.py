@@ -6,9 +6,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.config import NodeConfig
+from repro.grid.glidein import WrapperConfig
 from repro.grid.preemption import PreemptionEvent, PreemptionTrace
 from repro.grid.site import PAPER_SITE_DOMAINS, PAPER_SITE_NAMES, SitePolicy
+from repro.hdfs.config import HdfsConfig
+from repro.mapreduce.config import MRConfig, hog_mr_config
 from repro.mapreduce.job import JobSpec
+from repro.net.fabric import FabricConfig
 from repro.scenarios import (
     ClusterSpec,
     FaultSpec,
@@ -108,8 +113,17 @@ class TestSpecRoundTrip:
             (10.0, "UCSDT2", 2, True)
 
     def test_validation_rejects_nonsense(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec(name="x", scheduler="cosmic").validate()
+        # Every cluster config is checked at load, the scheduler name too.
+        for field_name, cfg in (("mr", MRConfig(scheduler="cosmic")),
+                                ("node", NodeConfig(disk_capacity=0)),
+                                ("fabric", FabricConfig(nic_bandwidth=0)),
+                                ("hdfs", HdfsConfig(replication=0)),
+                                ("mr", MRConfig(max_task_copies=0)),
+                                ("wrapper", WrapperConfig(package_bytes=-1))):
+            spec = ScenarioSpec(name="x",
+                                cluster=ClusterSpec(**{field_name: cfg}))
+            with pytest.raises(ValueError):
+                spec.validate()
         with pytest.raises(ValueError):
             ScenarioSpec(name="x", cluster=ClusterSpec(n_nodes=10),
                          grow_to=5).validate()
@@ -132,11 +146,14 @@ class TestRunnerConfig:
         assert set(cfg.site_nodes) == set(
             registry.build("hetero_tiers").cluster.site_tiers)
 
-    def test_scheduler_choice_overrides_mr_config(self):
+    def test_mr_scheduler_is_the_scheduler(self):
+        """``cluster.mr`` is the one place the scheduler is chosen, and
+        the choice survives a dict round trip."""
         spec = registry.build("baseline")
-        spec.scheduler = "delay"
-        cfg = ScenarioRunner(spec).build_config()
-        assert cfg.mr.scheduler == "delay"
+        spec.cluster.mr = hog_mr_config(scheduler="delay")
+        assert ScenarioRunner(spec).build_config().mr.scheduler == "delay"
+        clone = ScenarioSpec.from_dict(spec.to_dict())
+        assert ScenarioRunner(clone).build_config().mr.scheduler == "delay"
 
     def test_trace_without_policy_means_churn_free_sites(self):
         spec = ScenarioSpec(

@@ -69,7 +69,6 @@ def _capture_scan_stream(spec):
 
 def _spec_for(scenario, scheduler, *, n_nodes, scale, seed):
     spec = registry.build(scenario, n_nodes=n_nodes, scale=scale, seed=seed)
-    spec.scheduler = scheduler
     mr = spec.cluster.mr or hog_mr_config()
     spec.cluster.mr = replace(mr, scheduler=scheduler)
     return spec

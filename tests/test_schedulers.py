@@ -14,11 +14,15 @@ from repro.mapreduce import (
 from helpers import MRHarness
 
 
-def harness_with(scheduler_factory, n_nodes=4, n_sites=2, **mr_kwargs):
-    cfg = MRConfig(**mr_kwargs)
+#: Scheduler class → its ``MRConfig.scheduler`` name.
+_NAMES = {FifoScheduler: "fifo", DelayScheduler: "delay",
+          MatchmakingScheduler: "matchmaking"}
+
+
+def harness_with(scheduler_cls, n_nodes=4, n_sites=2, **mr_kwargs):
+    cfg = MRConfig(scheduler=_NAMES[scheduler_cls], **mr_kwargs)
     h = MRHarness(n_nodes=n_nodes, n_sites=n_sites, mr_config=cfg)
-    # Swap the scheduler in place (same jobtracker).
-    h.jobtracker.scheduler = scheduler_factory(h.jobtracker)
+    assert type(h.jobtracker.scheduler) is scheduler_cls
     return h
 
 
@@ -114,11 +118,10 @@ class TestLocalityComparison:
         # eagerly; delay scheduling waits and gets better locality.
         from repro.hdfs import HdfsConfig
 
-        def run(factory):
+        def run(scheduler_cls):
             h = MRHarness(n_nodes=6, n_sites=3,
                           hdfs_config=HdfsConfig(replication=1),
-                          mr_config=MRConfig())
-            h.jobtracker.scheduler = factory(h.jobtracker)
+                          mr_config=MRConfig(scheduler=_NAMES[scheduler_cls]))
             jobs = [h.submit(f"j{i}", num_maps=6, num_reduces=1,
                              map_cpu_per_block=8.0) for i in range(4)]
             h.run_to_completion(jobs)
