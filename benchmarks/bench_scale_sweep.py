@@ -134,7 +134,6 @@ def run_point(n_nodes: int, scale: float, seed: int,
         "arrival_fast_paths": result.channel["arrival_fast_paths"],
         "departure_fast_paths": result.channel["departure_fast_paths"],
         "completion_fast_paths": result.channel["completion_fast_paths"],
-        "uniform_fast_accepts": result.channel["uniform_fast_accepts"],
         # Power-of-two histogram of filling-pass component sizes (bucket i
         # counts passes over [2^(i-1), 2^i) demands; trailing zeros trimmed).
         "pass_size_hist": result.channel["pass_size_hist"],

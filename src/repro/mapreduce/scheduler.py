@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .job import Job, Task, TaskType
-from .pending_index import ClusterPendingIndex, JobLocalityIndex
+from .pending_index import ClusterPendingIndex
 
 if TYPE_CHECKING:  # pragma: no cover
     from .jobtracker import JobTracker
@@ -70,10 +70,6 @@ class FifoScheduler(TaskScheduler):
         now, so a second pull at the same instant moves nothing."""
         self.index.sync(jobs)
         self.index.pull_spec(self.jobtracker.sim.now)
-
-    def _index_for(self, job: Job) -> JobLocalityIndex:
-        """The per-job locality index (registered on first sync)."""
-        return self.index.locality(job)
 
     # -- assignment ----------------------------------------------------------
     def assign(self, tracker: "TaskTracker") -> List[Tuple[Task, bool, str]]:

@@ -18,11 +18,13 @@ pay off, and what makes the cross-site shuffle slow (§IV-D2).
 Latency is charged once per transfer, before the fluid phase.
 
 The rate arithmetic itself — incremental per-component progressive
-filling, per-constraint virtual clocks, per-bottleneck group timers, and
-per-site partitioning — lives in :mod:`repro.sim.channel`; this module is
-an adapter.  It owns host naming, topology-driven path construction (with
-memoisation), latency/handshake setup phases, per-host flow indexes for
-node-death aborts, and byte-class accounting.  Because links are plain
+filling, per-constraint virtual clocks, and per-bottleneck group timers
+— lives in :mod:`repro.sim.channel`; this module is an adapter.  It owns
+host naming, topology-driven path construction (with memoisation),
+latency/handshake setup phases, per-host flow indexes for node-death
+aborts, and byte-class accounting.  Links carry their site as the
+constraint's partition key, so the channel can count filling passes
+that span sites.  Because links are plain
 :class:`~repro.sim.channel.Constraint` objects on a shared
 :class:`~repro.sim.channel.FairQueue`, a transfer can be *jointly*
 constrained by non-network resources: pass a disk's read or write
@@ -126,9 +128,6 @@ class Flow(Demand):
 class NetworkFabric:
     """The shared network all simulated hosts communicate over."""
 
-    #: Residual bytes below which a flow counts as drained.
-    EPSILON = FairQueue.EPSILON
-
     #: How long a starved flow waits before forcing another filling pass.
     STARVATION_RETRY = FairQueue.STARVATION_RETRY
 
@@ -153,8 +152,9 @@ class NetworkFabric:
         #: ordered dict as a set): cross-site transfers touching one fail
         #: fast instead of queueing on a dead link.
         self._partitioned_sites: Dict[str, None] = {}
-        #: The shared max-min drain engine.  Disks created with
-        #: ``channel=fabric.channel`` participate in joint allocations.
+        #: The shared max-min drain engine.  Every daemon disk is built
+        #: on it (``channel=fabric.channel``), so disk and network I/O
+        #: are rated in joint allocations.
         self.channel = channel or FairQueue(sim)
         self._node_tx: Dict[str, Link] = {}
         self._node_rx: Dict[str, Link] = {}
@@ -279,10 +279,6 @@ class NetworkFabric:
     def heal_site(self, site: str) -> None:
         """End a WAN partition started by :meth:`partition_site`."""
         self._partitioned_sites.pop(site, None)
-
-    def site_partitioned(self, site: str) -> bool:
-        """True while ``site`` is WAN-partitioned."""
-        return site in self._partitioned_sites
 
     def _path(self, src: str, dst: str) -> Tuple[List[Link], bool]:
         """Links for a src→dst flow and whether it stays inside one site.
@@ -444,18 +440,13 @@ class NetworkFabric:
     def serve_stream(self, src: str, dst: str, nbytes: float, disk) -> Event:
         """Stream ``nbytes`` read from ``src``'s disk to ``dst``.
 
-        With the normal wiring (the disk shares this fabric's channel)
-        this is ONE jointly-constrained demand over the disk read, the
-        NICs, and (cross-site) the WAN legs.  A standalone disk falls
-        back to overlapped disk read + transfer: the elapsed time is the
-        slower of the two.  Both shapes fail if the disk read or any
-        network leg fails."""
-        if disk.shares_channel_with(self):
-            return self.transfer(src, dst, nbytes,
-                                 extra_constraints=(disk.read_constraint,),
-                                 validate=lambda: disk.alive)
-        return self.sim.all_of([disk.read(nbytes),
-                                self.transfer(src, dst, nbytes)])
+        ONE jointly-constrained demand over the disk read, the NICs, and
+        (cross-site) the WAN legs; it fails if the disk is wiped or any
+        network leg fails.  ``disk`` must be built on this fabric's
+        channel (the daemons check that at construction)."""
+        return self.transfer(src, dst, nbytes,
+                             extra_constraints=(disk.read_constraint,),
+                             validate=lambda: disk.alive)
 
     def transfer_time_estimate(self, src: str, dst: str, nbytes: float) -> float:
         """Uncontended lower-bound duration of a transfer (for planning)."""

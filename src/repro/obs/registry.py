@@ -147,10 +147,6 @@ class Registry:
         """All registered gauges (name → reader), in registration order."""
         return dict(self._gauges)
 
-    def read_gauges(self) -> Dict[str, float]:
-        """One immediate sample of every gauge."""
-        return {name: fn() for name, fn in self._gauges.items()}
-
     # -- snapshot ----------------------------------------------------------
     def snapshot(self) -> Dict[str, dict]:
         """Read every bound source: ``{namespace: {name: value}}``.

@@ -7,7 +7,11 @@ one :class:`FairQueue`.  The queue computes the max-min fair allocation
 over arbitrary capacity :class:`Constraint` sets by progressive filling
 and advances time with as few timers as the allocation's structure allows.
 ``net/fabric.py`` and ``storage/disk.py`` are thin adapters over this
-module; they contain no rate arithmetic of their own.
+module; they contain no rate arithmetic of their own.  A simulated
+cluster drains through exactly one queue: the fabric owns it and every
+daemon's disk is built on it, so a stream from disk to network is one
+demand rated jointly by both, never a disk phase followed by a network
+phase.
 
 Design
 ------
@@ -47,15 +51,6 @@ resulting pass drains whatever finished, re-rates survivors, and re-arms.
 A live timer that fires at or before the new target is *kept* (it
 re-checks and re-aims), so slowdowns never allocate timers.
 
-**Per-partition decoupling.**  Constraints carry an optional partition
-key (the fabric tags NICs, WAN legs, and disks with their site).  The
-queue counts, per partition, the live demands whose constraint sets span
-partition boundaries ("bridges": cross-site transfers).  While a
-partition has no bridges — its WAN links are idle — its components are
-structurally confined to the partition: :meth:`FairQueue.partition_decoupled`
-is then a guarantee, checkable in O(1), that no churn inside the site can
-re-rate (or even visit) any other site's demands.
-
 **Heap batching.**  All wake-ups go through
 :meth:`~repro.sim.engine.Simulator.call_at`, whose callback timers are
 shared per timestamp, so the many groups that finish at the same
@@ -86,7 +81,7 @@ class Constraint:
     __slots__ = ("name", "capacity", "partition", "demands", "group",
                  "_timer_at", "_timer_version", "_visit", "_residual",
                  "_ucount", "_bound_sum", "_unbounded", "_slack_below",
-                 "_wit_counts", "_tighter")
+                 "_wit_counts")
 
     def __init__(self, name: str, capacity: float,
                  partition: Optional[str] = None) -> None:
@@ -94,7 +89,8 @@ class Constraint:
             raise ValueError(f"constraint {name!r} needs positive capacity")
         self.name = name
         self.capacity = float(capacity)
-        #: Optional decoupling key (the fabric uses the site name).
+        #: Optional locality key (the fabric uses the site name); passes
+        #: spanning several keys are counted in ``cross_partition_passes``.
         self.partition = partition
         #: Demands currently draining through this constraint (an
         #: insertion-ordered dict used as a set: iteration order must not
@@ -126,12 +122,6 @@ class Constraint:
         #: add/remove (`_wit_counts` holds the live count per witness).
         self._bound_sum = 0.0
         self._wit_counts: Dict["Constraint", int] = {}
-        #: Live demands with a side constraint *strictly* tighter than
-        #: this one (witness capacity < our capacity).  While zero, a
-        #: single-bottleneck pass here is uniform by construction: every
-        #: side constraint c has cap_c >= capacity >= k_c * share, so the
-        #: uniform-group eligibility holds without the per-member scan.
-        self._tighter = 0
         #: Live demands whose bound through here is unbounded (their only
         #: constraint) — any such demand disables the slack shortcut.
         self._unbounded = 0
@@ -613,10 +603,6 @@ class FairQueue:
         self._dirty: Dict[Constraint, None] = {}
         self._pass_scheduled = False
         self._walk_id = 0
-        #: live demands per partition key.
-        self._partition_demands: Dict[str, int] = {}
-        #: live partition-spanning demands per partition key.
-        self._bridges: Dict[str, int] = {}
         # -- stats (benchmarks / tests) --
         #: Filling passes executed (one per dirty component).
         self.rebalances = 0
@@ -639,10 +625,6 @@ class FairQueue:
         self.arrival_fast_paths = 0
         #: Departures proven local (freed capacity bound nobody: no pass).
         self.departure_fast_paths = 0
-        #: Uniform groups accepted via the incremental eligibility test
-        #: (`_tighter` == 0 and an unskipped walk) without the per-member
-        #: validation scan.
-        self.uniform_fast_accepts = 0
         #: Bottleneck-timer completions resolved in place: the lone
         #: drained demand was unregistered and completed directly because
         #: its departure provably freed nobody — no filling pass ran.
@@ -707,9 +689,6 @@ class FairQueue:
                 if k == 0:
                     c._bound_sum += w.capacity
                 wc[w] = k + 1
-                if w.capacity < c.capacity:
-                    c._tighter += 1
-        self._account_partitions(demand, +1)
         # Delta-driven arrival: when the demand lands wholly inside one
         # live uniform group's span (plus fresh private constraints), it
         # joins the group's virtual clock directly — no dirty marks, no
@@ -751,19 +730,10 @@ class FairQueue:
         r = float("inf")
         info: List[tuple] = []  # (constraint, residual, max incumbent rate)
         for c in demand.constraints:
-            if c.group is not None:
+            sharers = self._sharers(c, demand)
+            if sharers is None:
                 return False
-            load = 0.0
-            maxr = 0.0
-            for d2 in c.demands:
-                if d2 is demand:
-                    continue
-                rt = d2.rate
-                if rt <= 0.0 or d2._group is not None:
-                    return False  # starved or clock-managed: not settled
-                load += rt
-                if rt > maxr:
-                    maxr = rt
+            load, maxr = sharers
             resid = c.capacity - load
             if resid < r:
                 r = resid
@@ -782,46 +752,30 @@ class FairQueue:
         self._arm_bottleneck_timer(bottleneck, demand.remaining / r)
         return True
 
-    def _account_partitions(self, demand: Demand, delta: int) -> None:
-        """Maintain per-partition demand and bridge counts.
-
-        A demand is a *bridge* for partition p when its constraint set is
-        not wholly contained in p (it spans partitions, or touches an
-        unpartitioned constraint) — while any bridge is live, p's
-        decoupling guarantee is off."""
-        first: Optional[str] = None
-        extra: Optional[List[str]] = None
-        bridged = False
-        for c in demand.constraints:
-            p = c.partition
-            if p is None:
-                bridged = True
-            elif first is None:
-                first = p
-            elif p != first:
-                bridged = True
-                if extra is None:
-                    extra = [p]
-                elif p not in extra:
-                    extra.append(p)
-        if first is None:
-            return
-        parts = [first] if extra is None else [first] + extra
-        for p in parts:
-            n = self._partition_demands.get(p, 0) + delta
-            if n > 0:
-                self._partition_demands[p] = n
-            else:
-                self._partition_demands.pop(p, None)
-            if bridged:
-                b = self._bridges.get(p, 0) + delta
-                if b > 0:
-                    self._bridges[p] = b
-                else:
-                    self._bridges.pop(p, None)
+    @staticmethod
+    def _sharers(c: Constraint,
+                 skip: Demand) -> Optional[Tuple[float, float]]:
+        """Total and fastest rate of ``c``'s demands other than ``skip``,
+        or ``None`` when ``c``'s allocation is not settled: a group owns
+        it (pinned foreign load), or a sharer is starved or clock-managed.
+        Every fast path rests on this one local check."""
+        if c.group is not None:
+            return None
+        load = 0.0
+        maxr = 0.0
+        for d2 in c.demands:
+            if d2 is skip:
+                continue
+            rt = d2.rate
+            if rt <= 0.0 or d2._group is not None:
+                return None
+            load += rt
+            if rt > maxr:
+                maxr = rt
+        return load, maxr
 
     def _unregister(self, demand: Demand) -> None:
-        """Shared teardown: indexes, partition accounting, adapter hook."""
+        """Shared teardown: indexes and the adapter hook."""
         self._live.discard(demand)
         witnesses = demand._witness
         for i, c in enumerate(demand.constraints):
@@ -839,9 +793,6 @@ class FairQueue:
                     c._bound_sum -= w.capacity
                     if not wc:
                         c._bound_sum = 0.0  # reset float drift at idle
-                if w.capacity < c.capacity:
-                    c._tighter -= 1
-        self._account_partitions(demand, -1)
         demand._retry_version += 1
         if demand.on_exit is not None:
             demand.on_exit(demand)
@@ -880,23 +831,15 @@ class FairQueue:
                 self._mark_dirty()
 
     def _departure_is_local(self, demand: Demand, rate: float) -> bool:
-        """True when a departure provably leaves survivors' rates exact
-        (see :meth:`remove`; ``demand`` is already unregistered)."""
+        """True when ``demand`` leaving at ``rate`` provably leaves the
+        survivors' rates exact (see :meth:`remove`): every constraint it
+        crosses was unsaturated or has no survivor as fast as it."""
         for c in demand.constraints:
-            if c.group is not None:
-                return False  # pinned foreign load: let a pass re-rate
-            if not c.demands:
-                continue
-            load = rate
-            maxr = 0.0
-            for d2 in c.demands:
-                rt = d2.rate
-                if rt <= 0.0 or d2._group is not None:
-                    return False  # starved or clock-managed: not settled
-                load += rt
-                if rt > maxr:
-                    maxr = rt
-            if maxr >= rate and load >= c.capacity * (1.0 - 1e-9):
+            sharers = self._sharers(c, demand)
+            if sharers is None:
+                return False
+            load, maxr = sharers
+            if maxr >= rate and load + rate >= c.capacity * (1.0 - 1e-9):
                 return False  # could have been a survivor's bottleneck
         return True
 
@@ -920,12 +863,6 @@ class FairQueue:
     def active_demands(self) -> int:
         """Number of demands currently draining."""
         return len(self._live)
-
-    def partition_decoupled(self, partition: str) -> bool:
-        """True while no live demand bridges ``partition`` to anything
-        outside it — churn inside the partition then provably cannot
-        touch any other partition's rates."""
-        return self._bridges.get(partition, 0) == 0
 
     # -- fluid dynamics -------------------------------------------------------
     def _mark_dirty(self) -> None:
@@ -1013,7 +950,6 @@ class FairQueue:
         add_demand = affected.append
         push_link = links.append
         multi_partition = False
-        skipped_slack = False
         first_partition: Optional[str] = None
         while stack:
             d = pop()
@@ -1033,7 +969,6 @@ class FairQueue:
                         # Provably slack (total possible traffic below
                         # capacity): cannot bind, so it neither rates nor
                         # couples — do NOT chain components through it.
-                        skipped_slack = True
                         continue
                     c._visit = wid
                     push_link(c)
@@ -1154,9 +1089,7 @@ class FairQueue:
             if pinned is not None:
                 for c, g, avail in pinned:
                     g.set_foreign(c, c._ucount * best_share)
-            elif self._try_uniform_group(
-                    best, affected,
-                    trusted=best._tighter == 0 and not skipped_slack):
+            elif self._try_uniform_group(best, affected):
                 return
             self._arm_bottleneck_timer(best, min_remaining / best_share)
             return
@@ -1168,8 +1101,7 @@ class FairQueue:
                 g.set_foreign(c, avail - r if r < avail else 0.0)
 
     def _try_uniform_group(self, bottleneck: Constraint,
-                           members: List[Demand],
-                           trusted: bool = False) -> bool:
+                           members: List[Demand]) -> bool:
         """Enter virtual-clock mode if the allocation is exactly uniform:
         every non-bottleneck constraint must carry only members (a foreign
         demand — reachable through a slack-skipped constraint — would
@@ -1177,12 +1109,6 @@ class FairQueue:
         common share.  Shared constraints are fine; their limits go into
         the group's threshold heap, and the group dissolves itself when
         completions push the share past the tightest one.
-
-        ``trusted`` skips the eligibility scan: the caller proved it
-        incrementally (no member has a side constraint tighter than the
-        bottleneck, so every side c has cap_c >= cap_B >= k_c * share;
-        and the walk skipped nothing, so its closure guarantees every
-        side constraint is members-only).
 
         The group's span covers *every* member constraint (slack ones
         included): any dirt anywhere in the span must dissolve the group
@@ -1198,12 +1124,9 @@ class FairQueue:
                 if k == 0:
                     span.append(c)
                 counts[c] = k + 1
-        if trusted:
-            self.uniform_fast_accepts += 1
-        else:
-            for c, k in counts.items():
-                if len(c.demands) != k or k * share > c.capacity:
-                    return False
+        for c, k in counts.items():
+            if len(c.demands) != k or k * share > c.capacity:
+                return False
         self.uniform_groups += 1
         group = _UniformGroup(self, bottleneck, dict.fromkeys(members),
                               span, counts)
@@ -1267,22 +1190,8 @@ class FairQueue:
             d._last_update = now
         if d.remaining > self.EPSILON:
             return False  # fired early (rate dropped since arming): re-rate
-        for c in d.constraints:
-            if c.group is not None:
-                return False
-            load = 0.0
-            maxr = 0.0
-            for d2 in c.demands:
-                if d2 is d:
-                    continue
-                rt = d2.rate
-                if rt <= 0.0 or d2._group is not None:
-                    return False
-                load += rt
-                if rt > maxr:
-                    maxr = rt
-            if maxr >= rate and load + rate >= c.capacity * (1.0 - 1e-9):
-                return False
+        if not self._departure_is_local(d, rate):
+            return False
         self.completion_fast_paths += 1
         self._unregister(d)
         if not d.done.triggered:

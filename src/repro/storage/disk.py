@@ -17,10 +17,11 @@ Concurrent reads (and, separately, writes) share the channel bandwidth
 equally.  The sharing itself is delegated to the unified max-min core in
 :mod:`repro.sim.channel`: each I/O direction is one
 :class:`~repro.sim.channel.Constraint` on a :class:`~repro.sim.channel.FairQueue`.
-A disk created with the *fabric's* queue (``channel=fabric.channel``)
-exposes :attr:`Disk.read_constraint` / :attr:`Disk.write_constraint` so
-streaming transfers (shuffle serves, HDFS reads, replication pipelines)
-can be jointly rate-limited by disk and network at once.
+Daemon disks are created on the *fabric's* queue
+(``channel=fabric.channel``; the datanode and tasktracker refuse any
+other), so streaming transfers (shuffle serves, HDFS reads, replication
+pipelines) add :attr:`Disk.read_constraint` / :attr:`Disk.write_constraint`
+to their network path and are rate-limited by disk and network at once.
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ class Disk:
         commodity SATA drive).
     channel:
         The :class:`~repro.sim.channel.FairQueue` to drain I/O through.
-        Pass the network fabric's queue to enable joint disk+network
-        rate limiting; defaults to a private queue.
+        A disk that a datanode or tasktracker uses must be built on the
+        network fabric's queue; the private default queue serves only a
+        standalone disk.
     partition:
-        Optional decoupling key for the disk's constraints (the site
-        name, matching the fabric's link partitions).
+        Optional site key for the disk's constraints (the site name,
+        matching the fabric's link partitions).
     """
 
     __slots__ = ("sim", "host", "capacity", "_usage", "channel",
@@ -89,12 +91,6 @@ class Disk:
         self.write_constraint: Constraint = self.channel.constraint(
             f"disk-write:{host}", write_rate, partition)
         self._alive = True
-
-    def shares_channel_with(self, other) -> bool:
-        """True when ``other`` (a fabric or disk) drains through the same
-        :class:`~repro.sim.channel.FairQueue`, i.e. joint disk+network
-        demands are possible."""
-        return getattr(other, "channel", None) is self.channel
 
     # -- capacity --------------------------------------------------------------
     @property
@@ -140,7 +136,9 @@ class Disk:
     def release(self, nbytes: float, label: str = "data") -> None:
         """Return ``nbytes`` previously allocated under ``label``."""
         have = self._usage.get(label, 0.0)
-        if nbytes > have + 1e-6:
+        # Relative slack: labels summing ~1e11 B of fractional sizes
+        # drift by more than any absolute epsilon.
+        if nbytes > have + 1e-6 + 1e-9 * nbytes:
             raise ValueError(f"releasing {nbytes}B exceeds {label!r} usage {have}B")
         new = have - nbytes
         if new <= 1e-9:

@@ -13,6 +13,15 @@ from repro.sim import Simulator
 from repro.storage import Disk
 
 
+def node_disk(fabric: NetworkFabric, host: str, capacity: float,
+              read_rate: float = 90e6, write_rate: float = 70e6) -> Disk:
+    """A worker disk wired as the daemons require: on the fabric's
+    channel, tagged with the host's site."""
+    return Disk(fabric.sim, host, capacity, read_rate, write_rate,
+                channel=fabric.channel,
+                partition=fabric.topology.site_of(host))
+
+
 class HdfsHarness:
     """A small in-memory HDFS cluster for unit/integration tests."""
 
@@ -20,7 +29,6 @@ class HdfsHarness:
                  config: Optional[HdfsConfig] = None,
                  disk_capacity: float = 100e9,
                  fabric_config: Optional[FabricConfig] = None,
-                 shared_channel: bool = False,
                  seed: int = 7) -> None:
         self.sim = Simulator()
         self.topology = NetworkTopology(DnsSiteResolver())
@@ -30,9 +38,6 @@ class HdfsHarness:
                 nic_bandwidth=100e6, site_uplink_bandwidth=500e6,
                 intra_site_latency=0.0005, inter_site_latency=0.04))
         self.config = config or HdfsConfig()
-        #: True = disks drain through the fabric's channel (the HOG worker
-        #: wiring), enabling joint disk+network streaming demands.
-        self.shared_channel = shared_channel
         rng = np.random.default_rng(seed)
         self.namenode = Namenode(
             self.sim, self.topology,
@@ -46,12 +51,8 @@ class HdfsHarness:
 
     def add_datanode(self, host: str, read_rate: float = 90e6,
                      write_rate: float = 70e6) -> Datanode:
-        kwargs = {}
-        if self.shared_channel:
-            kwargs = dict(channel=self.fabric.channel,
-                          partition=self.topology.site_of(host))
-        disk = Disk(self.sim, host, self.disk_capacity,
-                    read_rate, write_rate, **kwargs)
+        disk = node_disk(self.fabric, host, self.disk_capacity,
+                         read_rate, write_rate)
         dn = Datanode(self.sim, host, disk, self.fabric, self.namenode, self.config)
         dn.start()
         self.datanodes[host] = dn
@@ -107,7 +108,7 @@ class MRHarness:
             self.add_node(f"node{i:03d}.{site}")
 
     def add_node(self, host: str, speed: float = 1.0) -> None:
-        disk = Disk(self.sim, host, self.disk_capacity)
+        disk = node_disk(self.fabric, host, self.disk_capacity)
         dn = Datanode(self.sim, host, disk, self.fabric, self.namenode,
                       self.hdfs_config)
         dn.start()

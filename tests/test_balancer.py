@@ -109,7 +109,7 @@ class TestJointStreamingMoves:
         disk, plus one empty datanode in another site."""
         h = HdfsHarness(n_nodes=0, n_sites=2,
                         config=hog_config(replication=1),
-                        disk_capacity=1e9, shared_channel=True)
+                        disk_capacity=1e9)
         h.add_datanode("loaded00.site0.edu", read_rate=read_rate,
                        write_rate=500e6)
         client = h.client()
@@ -174,11 +174,11 @@ class TestJointStreamingMoves:
         h.run(until=reader_ev)
         assert reader_ev.triggered
 
-    def test_shared_channel_balancer_preserves_replicas(self):
+    def test_joint_stream_balancer_preserves_replicas(self):
         """Replica-count invariants survive the joint streaming path."""
         h = HdfsHarness(n_nodes=3, n_sites=3,
                         config=hog_config(replication=2),
-                        disk_capacity=3e9, shared_channel=True)
+                        disk_capacity=3e9)
         client = h.client()
         for i in range(12):
             client.preload_file(f"/f{i}", 64 * MB, replication=2)

@@ -402,25 +402,7 @@ class TestPartitionDecoupling:
         q.submit(1000.0, [a1, a2])
         q.submit(1000.0, [b1])
         sim.run(until=0.0)
-        assert q.partition_decoupled("siteA")
-        assert q.partition_decoupled("siteB")
         assert q.cross_partition_passes == 0
-
-    def test_cross_site_demand_bridges_partitions(self):
-        sim = Simulator()
-        q = FairQueue(sim)
-        a1 = q.constraint("a1", 100.0, partition="siteA")
-        wan_a = q.constraint("wanA", 120.0, partition="siteA")
-        wan_b = q.constraint("wanB", 120.0, partition="siteB")
-        b1 = q.constraint("b1", 100.0, partition="siteB")
-        d = q.submit(1000.0, [a1, wan_a, wan_b, b1])
-        sim.run(until=0.0)
-        assert not q.partition_decoupled("siteA")
-        assert not q.partition_decoupled("siteB")
-        sim.run(until=d.done)
-        # Bridge gone: both sites decoupled again.
-        assert q.partition_decoupled("siteA")
-        assert q.partition_decoupled("siteB")
 
 
 class TestGroupCoexistence:

@@ -2,17 +2,40 @@
 
 import pytest
 
-from repro.hdfs import hog_config
+from repro.hdfs import Datanode, hog_config
 from repro.mapreduce import (
     JobSpec,
     JobStatus,
     MRConfig,
     TaskStatus,
+    TaskTracker,
     hog_mr_config,
     stock_mr_config,
 )
+from repro.storage import Disk
 
 from helpers import MRHarness
+
+
+class TestDiskWiring:
+    """Daemons stream disk I/O as joint demands on the fabric's channel,
+    so a disk on any other queue is a wiring error caught at
+    construction."""
+
+    def _private_disk(self, h):
+        return Disk(h.sim, "stray.site0.edu", 1e9)
+
+    def test_datanode_rejects_private_queue_disk(self):
+        h = MRHarness(n_nodes=1)
+        with pytest.raises(ValueError):
+            Datanode(h.sim, "stray.site0.edu", self._private_disk(h),
+                     h.fabric, h.namenode)
+
+    def test_tasktracker_rejects_private_queue_disk(self):
+        h = MRHarness(n_nodes=1)
+        with pytest.raises(ValueError):
+            TaskTracker(h.sim, "stray.site0.edu", self._private_disk(h),
+                        h.fabric, h.namenode, h.jobtracker)
 
 
 class TestConfig:

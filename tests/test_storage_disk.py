@@ -44,6 +44,18 @@ class TestCapacity:
         with pytest.raises(ValueError):
             disk.release(200.0, "hdfs")
 
+    def test_release_tolerates_float_drift_on_large_labels(self):
+        """Regression: ~1e11 B under one label rounds a fractional block
+        by ~1e-5 B, past the old absolute 1e-6 slack, so releasing the
+        block after the bulk raised ValueError mid-run."""
+        sim, disk = make_disk(capacity=1e12)
+        block = 64 * 2**20 + 0.9
+        disk.allocate(1e11, "hdfs")
+        disk.allocate(block, "hdfs")
+        disk.release(1e11, "hdfs")
+        disk.release(block, "hdfs")
+        assert disk.used == pytest.approx(0.0, abs=1e-3)
+
     def test_negative_allocate_rejected(self):
         sim, disk = make_disk()
         with pytest.raises(ValueError):
