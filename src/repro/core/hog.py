@@ -284,15 +284,13 @@ class HOGSystem:
         self.sim.call_after(BELIEVED_SAMPLE_PERIOD, self._believed_tick)
 
     # -- run helpers ---------------------------------------------------------------------
-    def run_until_nodes(self, n: int, timeout: float = 36_000.0,
-                        step: Optional[float] = None) -> float:
+    def run_until_nodes(self, n: int, timeout: float = 36_000.0) -> float:
         """Advance simulation until ``n`` workers are running (the paper
         waits for the target before starting the workload, §IV-A).
         Returns the exact time the count is reached; raises on timeout.
 
         Event-driven: the engine jumps straight from real event to real
-        event instead of advancing on a fixed polling grid.  ``step`` is
-        kept for backwards compatibility and ignored."""
+        event instead of advancing on a fixed polling grid."""
         if self.factory.running_count() >= n:
             return self.sim.now
         reached = self.factory.when_running(n)
@@ -302,13 +300,12 @@ class HOGSystem:
         raise TimeoutError(
             f"only {self.factory.running_count()}/{n} nodes after {timeout}s")
 
-    def run_until_jobs_done(self, jobs: List[Job], timeout: float = 200_000.0,
-                            step: Optional[float] = None) -> float:
+    def run_until_jobs_done(self, jobs: List[Job],
+                            timeout: float = 200_000.0) -> float:
         """Advance simulation until every job in ``jobs`` finished.
 
         Returns the exact finish timestamp of the last job (not rounded up
-        to a polling step).  ``step`` is kept for backwards compatibility
-        and ignored."""
+        to a polling step)."""
         done = self.jobtracker.when_jobs_done(jobs)
         if self.sim.run_until(done, self.sim.now + timeout):
             return self.sim.now

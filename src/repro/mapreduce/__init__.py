@@ -15,7 +15,7 @@ from .job import (
 from .delay_scheduler import DelayScheduler
 from .jobtracker import JobFailedError, JobTracker, TrackerDescriptor
 from .matchmaking import MatchmakingScheduler
-from .scheduler import FifoScheduler, TaskScheduler
+from .scheduler import FifoScheduler
 from .tasktracker import TaskExecutionError, TaskTracker
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "JobTracker",
     "TrackerDescriptor",
     "JobFailedError",
-    "TaskScheduler",
     "FifoScheduler",
     "DelayScheduler",
     "MatchmakingScheduler",

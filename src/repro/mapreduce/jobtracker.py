@@ -42,7 +42,7 @@ from .job import (
 from .tasktracker import TaskTracker
 
 if TYPE_CHECKING:
-    from .scheduler import TaskScheduler
+    from .scheduler import FifoScheduler
 
 __all__ = ["JobTracker", "TrackerDescriptor", "JobFailedError"]
 
@@ -102,7 +102,7 @@ class JobTracker:
         self._jobs: List[Job] = []
         self._next_job_id = 0
         #: Chosen by ``config.scheduler``, the one scheduler knob.
-        self.scheduler: TaskScheduler = \
+        self.scheduler: FifoScheduler = \
             self._resolve_scheduler(self.config.scheduler)(self)
         self._input_blocks: Dict[int, List[Block]] = {}
         #: Fetch-failure strikes per (job_id, map_index).

@@ -34,28 +34,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from .jobtracker import JobTracker
     from .tasktracker import TaskTracker
 
-__all__ = ["TaskScheduler", "FifoScheduler"]
+__all__ = ["FifoScheduler"]
 
 
-class TaskScheduler:
-    """Interface: pick tasks for a tracker with free slots."""
+class FifoScheduler:
+    """Hadoop 0.20's default scheduler, as used by HOG."""
 
     def __init__(self, jobtracker: "JobTracker") -> None:
         self.jobtracker = jobtracker
         self.config = jobtracker.config
-
-    def assign(self, tracker: "TaskTracker") -> List[Tuple[Task, bool, str]]:
-        """Return ``(task, speculative, locality)`` assignments for one
-        heartbeat from ``tracker``.  ``locality`` is one of ``data_local``,
-        ``site_local``, ``remote`` for maps and ``n/a`` for reduces."""
-        raise NotImplementedError
-
-
-class FifoScheduler(TaskScheduler):
-    """Hadoop 0.20's default scheduler, as used by HOG."""
-
-    def __init__(self, jobtracker: "JobTracker") -> None:
-        super().__init__(jobtracker)
         self.index = ClusterPendingIndex(jobtracker,
                                          on_job_removed=self._job_removed)
 
@@ -73,7 +60,9 @@ class FifoScheduler(TaskScheduler):
 
     # -- assignment ----------------------------------------------------------
     def assign(self, tracker: "TaskTracker") -> List[Tuple[Task, bool, str]]:
-        """One heartbeat's assignments for ``tracker`` (see base class)."""
+        """Return ``(task, speculative, locality)`` assignments for one
+        heartbeat from ``tracker``.  ``locality`` is one of ``data_local``,
+        ``site_local``, ``remote`` for maps and ``n/a`` for reduces."""
         out: List[Tuple[Task, bool, str]] = []
         jobs = self.jobtracker.schedulable_jobs()
         # Every heartbeat reconciles, busy or not; O(1) unless the job

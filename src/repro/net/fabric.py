@@ -128,9 +128,6 @@ class Flow(Demand):
 class NetworkFabric:
     """The shared network all simulated hosts communicate over."""
 
-    #: How long a starved flow waits before forcing another filling pass.
-    STARVATION_RETRY = FairQueue.STARVATION_RETRY
-
     #: Path-cache entries before a wholesale reset (guards memory on huge
     #: all-to-all shuffles; entries are cheap to recompute).
     _PATH_CACHE_LIMIT = 131072
@@ -176,17 +173,6 @@ class NetworkFabric:
         self.bytes_inter_site = 0.0
         #: Highwater mark of concurrent fluid-phase flows (benchmarks).
         self.peak_flows = 0
-
-    # -- stats (delegated to the shared channel core) -------------------------
-    @property
-    def rebalances(self) -> int:
-        """Progressive-filling passes executed (benchmarks / perf tests)."""
-        return self.channel.rebalances
-
-    @property
-    def starvation_rescues(self) -> int:
-        """Times the zero-rate starvation guard had to rescue a demand."""
-        return self.channel.starvation_rescues
 
     # -- link management -----------------------------------------------------
     def _nic(self, host: str, direction: str) -> Link:

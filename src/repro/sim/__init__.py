@@ -3,19 +3,17 @@
 Public surface:
 
 - :class:`Simulator` — the event loop and clock.
-- :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`Interrupt`,
-  :class:`AnyOf`, :class:`AllOf` — event primitives.
+- :class:`Event`, :class:`Timeout`, :class:`CallbackTimer`,
+  :class:`Process`, :class:`Interrupt` — event primitives.
 - :class:`FairQueue`, :class:`Constraint`, :class:`Demand` — the unified
   max-min fair shared-resource core (network + disk rate sharing).
-- :class:`RngRegistry` — reproducible named random streams.
-- :class:`StepSeries`, :class:`CounterSet`, :class:`EventLog` — measurement.
+- :class:`StepSeries`, :class:`CounterSet` — measurement.
 """
 
 from .channel import Constraint, Demand, FairQueue
 from .engine import EmptySchedule, Simulator
-from .events import AllOf, AnyOf, CallbackTimer, Event, Interrupt, Process, Timeout
-from .monitor import CounterSet, EventLog, StepSeries
-from .rng import RngRegistry
+from .events import CallbackTimer, Event, Interrupt, Process, Timeout
+from .monitor import CounterSet, StepSeries
 
 __all__ = [
     "Simulator",
@@ -28,10 +26,6 @@ __all__ = [
     "CallbackTimer",
     "Process",
     "Interrupt",
-    "AnyOf",
-    "AllOf",
-    "RngRegistry",
     "StepSeries",
     "CounterSet",
-    "EventLog",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from .events import (
     NORMAL,
@@ -31,8 +31,6 @@ from .events import (
     PROCESSED,
     TRIGGERED,
     URGENT,
-    AllOf,
-    AnyOf,
     CallbackTimer,
     EngineProfile,
     Event,
@@ -201,14 +199,6 @@ class Simulator:
         fns.append(fn)
         fns.append(arg)
         return t
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event firing when any of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event firing when all of ``events`` have fired."""
-        return AllOf(self, events)
 
     # -- scheduling -------------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:

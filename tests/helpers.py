@@ -10,7 +10,19 @@ from repro.hdfs import Datanode, HdfsClient, HdfsConfig, Namenode, SiteAwarePoli
 from repro.mapreduce import JobSpec, JobTracker, MRConfig, TaskTracker
 from repro.net import DnsSiteResolver, FabricConfig, NetworkFabric, NetworkTopology
 from repro.sim import Simulator
+from repro.sim.util import gather_safe
 from repro.storage import Disk
+
+
+def run_all(sim: Simulator, events) -> None:
+    """Run ``sim`` until every event in ``events`` has fired; re-raise the
+    first failure, so a failed event fails the test just as it would
+    crash a run waiting on it."""
+    done = gather_safe(sim, events)
+    sim.run(until=done)
+    for outcome in done.value:
+        if not outcome.ok:
+            raise outcome.error
 
 
 def node_disk(fabric: NetworkFabric, host: str, capacity: float,

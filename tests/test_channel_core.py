@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import FairQueue, Simulator
 
+from helpers import run_all
+
 
 def reference_max_min(demand_links, capacities):
     """Brute-force progressive filling.
@@ -333,7 +335,7 @@ class TestUniformGroups:
         q = FairQueue(sim)
         ch = q.constraint("disk", 50.0)
         evs = [q.request(100.0, [ch]) for _ in range(5)]
-        sim.run(until=sim.all_of(evs))
+        run_all(sim, evs)
         assert sim.now == pytest.approx(10.0)  # 500 B / 50 B/s
         assert q.rebalances == 1  # all completions via the clock
 
@@ -370,8 +372,7 @@ class TestSlackShortcut:
         n2 = q.constraint("n2", 100.0)
         a = q.submit(750.0, [n1, wan])
         b = q.submit(750.0, [n2, wan])
-        done = sim.all_of([a.done, b.done])
-        sim.run(until=done)
+        run_all(sim, [a.done, b.done])
         # Max-min: 75 B/s each through the shared wan.
         assert sim.now == pytest.approx(10.0)
 
@@ -550,5 +551,5 @@ class TestLifecycle:
         ch = q.constraint("ch", 100.0)
         sizes = [37.0, 240.0, 101.5, 999.0, 5.0]
         evs = [q.request(s, [ch]) for s in sizes]
-        sim.run(until=sim.all_of(evs))
+        run_all(sim, evs)
         assert sim.now == pytest.approx(sum(sizes) / 100.0)

@@ -6,7 +6,8 @@ Covers the fast paths introduced for raw event throughput — the
 dispatch — plus the ordering contracts those paths rely on (FIFO
 tie-break, URGENT before NORMAL, split-run equivalence) and the engine
 bugfixes shipped alongside (``call_at`` identity-guarded cleanup,
-late-child-failure defusing, ``Interrupt().cause`` without args).
+``Interrupt().cause`` without args).  An unwaited failure must still
+crash the run.
 """
 
 import pytest
@@ -115,38 +116,10 @@ def test_call_at_successor_not_evicted_by_stale_cleanup():
     assert seen["shared"] is seen["successor"]
 
 
-# -- bugfix: late child failure is defused ------------------------------------
-
-def test_condition_defuses_child_failing_after_fire():
-    sim = Simulator()
-
-    def fast(sim):
-        yield sim.timeout(1.0)
-        return "fast"
-
-    def slow_fail(sim):
-        yield sim.timeout(2.0)
-        raise RuntimeError("late failure")
-
-    p_fast = sim.process(fast(sim))
-    p_slow = sim.process(slow_fail(sim))
-    results = {}
-
-    def waiter(sim):
-        got = yield sim.any_of([p_fast, p_slow])
-        results["value"] = got
-
-    sim.process(waiter(sim))
-    # Pre-fix: p_slow's failure at t=2 crashed the run even though the
-    # (already-fired) condition had been a waiter.
-    sim.run()
-    assert results["value"] == {p_fast: "fast"}
-    assert not p_slow.ok
-
+# -- unwaited failures surface -------------------------------------------------
 
 def test_unwaited_failure_still_crashes_the_run():
-    # The defuse is scoped to condition children: a genuinely unwaited
-    # failure must still surface.
+    # A failure nobody waits on (and nobody defused) must crash the run.
     sim = Simulator()
 
     def boom(sim):

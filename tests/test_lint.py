@@ -3,12 +3,14 @@
 Two invariants are enforced on every decision-path module:
 
 - **No set iteration** (PR 2): no scheduling/placement/replication
-  decision may depend on set iteration order.  Waiver: an audited
-  ``# set-order-ok`` comment.
+  decision may depend on set iteration order in ``sim/``, ``net/``,
+  ``mapreduce/``, ``hdfs/``, ``storage/``, ``faults/``, ``grid/``, or
+  ``core/``.  Waiver: an audited ``# set-order-ok`` comment.
 - **No wall-clock reads** (ISSUE 8): simulated components take time from
   ``sim.now`` only; ``time.time()``/``perf_counter()``/``datetime.now()``
   must never leak into ``sim/``, ``net/``, ``mapreduce/``, ``hdfs/``,
-  ``grid/``, or ``storage/``.  Waiver: ``# wallclock-ok``.
+  ``grid/``, ``storage/``, ``faults/``, or ``core/``.  Waiver:
+  ``# wallclock-ok``.
 """
 
 import sys

@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +9,11 @@ from repro.net import (
     NetworkFabric,
     NetworkTopology,
 )
-from repro.sim import RngRegistry, Simulator
+from repro.sim import Simulator
 from repro.sim.monitor import StepSeries
 from repro.storage import Disk
+
+from helpers import run_all
 
 
 hostnames = st.from_regex(r"[a-z]{1,8}\.[a-z]{1,8}\.(edu|gov|org)",
@@ -91,22 +92,6 @@ class TestStepSeriesProperties:
         assert s.integrate(0.0, duration) == pytest.approx(value * duration)
 
 
-class TestRngProperties:
-    @given(st.integers(min_value=0, max_value=2**31),
-           st.text(alphabet="abcdefgh", min_size=1, max_size=8))
-    def test_same_seed_same_stream(self, seed, name):
-        a = RngRegistry(seed).stream(name).random(8)
-        b = RngRegistry(seed).stream(name).random(8)
-        assert np.array_equal(a, b)
-
-    @given(st.integers(min_value=0, max_value=2**31))
-    def test_different_names_differ(self, seed):
-        reg = RngRegistry(seed)
-        a = reg.stream("alpha").random(8)
-        b = reg.stream("beta").random(8)
-        assert not np.array_equal(a, b)
-
-
 class TestFabricProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
@@ -173,7 +158,6 @@ class TestDiskProperties:
         sim = Simulator()
         disk = Disk(sim, "h", capacity=1e9, read_rate=100.0)
         events = [disk.read(n) for n in sizes]
-        done = sim.all_of(events)
-        sim.run(until=done)  # (stale timers may tick after completion)
+        run_all(sim, events)  # (stale timers may tick after completion)
         assert all(ev.ok for ev in events)
         assert sim.now == pytest.approx(sum(sizes) / 100.0, rel=1e-6)

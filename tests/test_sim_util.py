@@ -1,9 +1,6 @@
-"""Tests for sim coordination helpers (gather_safe) and the RNG registry."""
+"""Tests for the sim coordination helper (gather_safe)."""
 
-import numpy as np
-import pytest
-
-from repro.sim import RngRegistry, Simulator
+from repro.sim import Simulator
 from repro.sim.util import Outcome, gather_safe
 
 
@@ -46,30 +43,3 @@ class TestGatherSafe:
     def test_outcome_repr(self):
         assert "ok=True" in repr(Outcome(True, value=1))
         assert "ok=False" in repr(Outcome(False, error=ValueError("x")))
-
-
-class TestRngRegistry:
-    def test_stream_cached(self):
-        reg = RngRegistry(1)
-        assert reg.stream("a") is reg.stream("a")
-
-    def test_seed_property(self):
-        assert RngRegistry(5).seed == 5
-
-    def test_spawn_derives_independent_registry(self):
-        reg = RngRegistry(1)
-        child1 = reg.spawn("run1")
-        child2 = reg.spawn("run2")
-        a = child1.stream("x").random(4)
-        b = child2.stream("x").random(4)
-        assert not np.array_equal(a, b)
-
-    def test_spawn_deterministic(self):
-        a = RngRegistry(1).spawn("r").stream("x").random(4)
-        b = RngRegistry(1).spawn("r").stream("x").random(4)
-        assert np.array_equal(a, b)
-
-    def test_repr_lists_streams(self):
-        reg = RngRegistry(1)
-        reg.stream("alpha")
-        assert "alpha" in repr(reg)
