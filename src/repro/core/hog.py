@@ -182,6 +182,7 @@ class HOGSystem:
             "uniform_leaves", "uniform_joins", "uniform_pins",
             "cross_partition_passes", "arrival_fast_paths",
             "departure_fast_paths", "completion_fast_paths",
+            "timer_reaims", "timer_drops",
             "starvation_rescues", "peak_demands",
             "pass_size_hist"))
         reg.bind_attrs("channel", self.fabric, ("peak_flows",))

@@ -2,10 +2,11 @@
 
 An :class:`InvariantChecker` evaluates a set of registered invariants —
 consistency predicates over namenode metadata, jobtracker task state,
-simulator heaps, and tracer accounting — on a sim-time cadence and/or at
-phase boundaries.  Faults are only as trustworthy as the recovery they
-exercise; the checker is what turns "the run finished" into "the run
-finished *and* the metadata reconverged".
+simulator heaps, tracer accounting, and the channel's max-min
+allocation — on a sim-time cadence and/or at phase boundaries.  Faults
+are only as trustworthy as the recovery they exercise; the checker is
+what turns "the run finished" into "the run finished *and* the metadata
+reconverged".
 
 It honours the telemetry zero-impact contract exactly like
 :class:`~repro.obs.probes.ProbeSet`:
@@ -32,7 +33,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..sim.engine import Simulator
 
-__all__ = ["InvariantChecker", "Violation"]
+__all__ = ["InvariantChecker", "Violation", "max_min_certificate"]
 
 #: Stored-violation cap: everything is counted, only the first this many
 #: carry full detail (a broken invariant fires every tick; unbounded
@@ -92,6 +93,7 @@ class InvariantChecker:
         self.register("heaps_bounded", self._inv_heaps_bounded)
         self.register("no_orphan_attempts", self._inv_no_orphans)
         self.register("tracer_accounting", self._inv_tracer)
+        self.register("channel_max_min", self._inv_channel_max_min)
 
     # -- lifecycle (ProbeSet idiom) ----------------------------------------
     def start(self) -> None:
@@ -270,3 +272,93 @@ class InvariantChecker:
         if stats["dropped"] < 0:
             out.append(f"tracer dropped negative: {stats['dropped']}")
         return out
+
+    def _inv_channel_max_min(self) -> List[str]:
+        """The channel's live allocation is max-min fair (see
+        :func:`max_min_certificate`)."""
+        return max_min_certificate(self.system.fabric.channel)
+
+
+#: Relative float slack of the certificate's capacity comparisons.
+_REL = 1e-9
+_INF = float("inf")
+
+
+def max_min_certificate(queue) -> List[str]:
+    """Check that a settled :class:`~repro.sim.channel.FairQueue`
+    allocation is max-min fair, and that its incremental slack bounds
+    match a recount.  Returns one detail string per failure, sorted.
+
+    The certificate is the bottleneck property: an allocation is the
+    unique max-min one iff no constraint carries more than its capacity
+    and every demand crosses a saturated constraint on which its rate is
+    maximal.  A uniform group's pin is exact only while each shared span
+    constraint that can bind (is not provably slack) leaves its foreign
+    demands at least the common share.  While a pass is pending the
+    rates are mid-change, so nothing is asserted."""
+    if queue._dirty or queue._pass_scheduled:
+        return []
+    out: List[str] = []
+    rates: Dict[object, float] = {}
+    groups: Dict[object, None] = {}
+    #: constraint -> witness -> live count (key None: unbounded demands).
+    recount: Dict[object, Dict[object, int]] = {}
+    # Every result below is order-free: sums feed tolerance comparisons,
+    # dicts are compared as mappings, and the details are sorted.
+    for d in queue._live:  # set-order-ok
+        g = d._group
+        if g is None:
+            rates[d] = d.rate
+        else:
+            groups[g] = None
+            rates[d] = g.share()
+        for c, w in zip(d.constraints, d._witness):
+            wc = recount.get(c)
+            if wc is None:
+                recount[c] = {w: 1}
+            else:
+                wc[w] = wc.get(w, 0) + 1
+    #: Rate a demand needs to be bottlenecked at a constraint: the
+    #: fastest sharer's if the constraint is saturated, else unreachable.
+    level: Dict[object, float] = {}
+    for c, wc in recount.items():
+        cap = c.capacity
+        total = 0.0
+        top = 0.0
+        for d in c.demands:
+            r = rates[d]
+            total += r
+            if r > top:
+                top = r
+        if total > cap * (1.0 + _REL):
+            out.append(f"{c.name} carries {total:.6g} > capacity {cap:.6g}")
+        level[c] = top * (1.0 - _REL) if total >= cap * (1.0 - _REL) \
+            else _INF
+        unbounded = wc.pop(None, 0)
+        if c._unbounded != unbounded:
+            out.append(f"{c.name} unbounded count {c._unbounded} != "
+                       f"recount {unbounded}")
+        if c._wit_counts != wc:
+            out.append(f"{c.name} witness counts drifted from a recount")
+        bound = sum(w.capacity for w in wc)
+        if abs(c._bound_sum - bound) > cap * _REL:
+            out.append(f"{c.name} bound sum {c._bound_sum:.6g} != "
+                       f"recount {bound:.6g}")
+    for d, r in rates.items():
+        for c in d.constraints:
+            if r >= level[c]:
+                break
+        else:
+            out.append(f"demand at {r:.6g} B/s over "
+                       f"{[c.name for c in d.constraints]} has no "
+                       f"bottleneck")
+    for g in groups:
+        share = g.share()
+        for c, k in g.counts.items():
+            n_foreign = len(c.demands) - k
+            if n_foreign and not c.slack and c.capacity - k * share < \
+                    n_foreign * share - c.capacity * _REL:
+                out.append(f"group on {g.constraint.name} pinned at "
+                           f"{share:.6g} squeezes {n_foreign} foreign "
+                           f"demands on {c.name}")
+    return sorted(out)

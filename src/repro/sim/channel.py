@@ -48,8 +48,13 @@ one bottleneck constraint; all demands frozen at a constraint share its
 fair share, so one timer per bottleneck — aimed at that group's earliest
 finish — wakes the component at the exact next completion instant.  The
 resulting pass drains whatever finished, re-rates survivors, and re-arms.
-A live timer that fires at or before the new target is *kept* (it
-re-checks and re-aims), so slowdowns never allocate timers.
+A live timer that fires at or before the new target is *kept*, so
+slowdowns never allocate timers.  The constraint records the target the
+last pass computed (``_timer_due``; every pass resets it on the
+constraints it walks), so a kept timer that fires early re-aims at the
+target with no pass, and one whose constraint no longer bottlenecks
+anybody is dropped — a timer firing only ever runs a pass when something
+at its constraint may have drained.
 
 **Heap batching.**  All wake-ups go through
 :meth:`~repro.sim.engine.Simulator.call_at`, whose callback timers are
@@ -73,15 +78,17 @@ from .events import Event
 
 __all__ = ["Constraint", "Demand", "FairQueue"]
 
+_INF = float("inf")
+
 
 class Constraint:
     """A capacity-constrained shared resource (NIC direction, WAN leg,
     disk channel, ...)."""
 
     __slots__ = ("name", "capacity", "partition", "demands", "group",
-                 "_timer_at", "_timer_version", "_visit", "_residual",
-                 "_ucount", "_bound_sum", "_unbounded", "_slack_below",
-                 "_wit_counts")
+                 "_timer_at", "_timer_due", "_timer_version", "_visit",
+                 "_residual", "_ucount", "_bound_sum", "_unbounded",
+                 "_slack_below", "_wit_counts")
 
     def __init__(self, name: str, capacity: float,
                  partition: Optional[str] = None) -> None:
@@ -101,6 +108,11 @@ class Constraint:
         self.group: Optional["_UniformGroup"] = None
         #: Absolute sim time of the live bottleneck group timer (None if none).
         self._timer_at: Optional[float] = None
+        #: Earliest finish among the demands bottlenecked here, as the last
+        #: filling pass that walked this constraint computed it (merged
+        #: with later fast-path arrivals); ∞ when that pass froze nothing
+        #: here.  A live timer firing before it re-aims without a pass.
+        self._timer_due = _INF
         self._timer_version = 0
         #: Walk stamp (see FairQueue._rebalance) — avoids per-pass sets.
         self._visit = 0
@@ -629,6 +641,12 @@ class FairQueue:
         #: drained demand was unregistered and completed directly because
         #: its departure provably freed nobody — no filling pass ran.
         self.completion_fast_paths = 0
+        #: Bottleneck timers that fired before their constraint's recorded
+        #: target and re-aimed there without a filling pass.
+        self.timer_reaims = 0
+        #: Bottleneck timers dropped on firing because the last pass that
+        #: walked their constraint froze nobody there.
+        self.timer_drops = 0
         #: Filling-pass component sizes (demands walked + drained), in
         #: power-of-two buckets: ``pass_size_hist[k]`` counts components
         #: with size in [2^(k-1), 2^k).  Tells whether sub-component
@@ -708,8 +726,15 @@ class FairQueue:
         # it just saturated.  Costs O(local neighborhood), no walk.
         if self._try_arrival_fast_path(demand):
             return
+        # Dirty only the constraints that can bind.  One still slack with
+        # the newcomer registered was slack before it too (an arrival only
+        # grows the bound), so it binds nobody before or after: the
+        # components that reach it only through it keep their rates, and
+        # seeding their re-fill from it would be wasted.  The demand's
+        # tightest constraint is never slack, so one is always dirtied.
         for c in demand.constraints:
-            self._dirty[c] = None
+            if c._unbounded or c._bound_sum >= c._slack_below:
+                self._dirty[c] = None
         self._mark_dirty()
 
     def _try_arrival_fast_path(self, demand: Demand) -> bool:
@@ -971,6 +996,7 @@ class FairQueue:
                         # couples — do NOT chain components through it.
                         continue
                     c._visit = wid
+                    c._timer_due = _INF  # re-set below if c freezes anyone
                     push_link(c)
                     p = c.partition
                     if p is not None and p != first_partition:
@@ -1137,15 +1163,28 @@ class FairQueue:
                               eta: float) -> None:
         """One timer for everything frozen at one bottleneck constraint.
 
-        Fires at the group's earliest completion and marks the constraint
-        dirty: the pass drains whatever finished, re-rates survivors, and
-        re-arms.  A live timer firing at or before the target is kept —
-        it re-checks and re-aims — so slowdowns never allocate timers."""
-        now = self.sim.now
-        fire_at = now + (eta if eta > 0.0 else 0.0)
+        Records the group's earliest completion as the constraint's
+        ``_timer_due``; the timer firing at that instant marks the
+        constraint dirty, and the pass drains whatever finished, re-rates
+        survivors, and re-arms.  A live timer firing at or before the
+        target is kept, so slowdowns never allocate timers.  A kept timer
+        that fires before ``_timer_due`` re-aims there without a pass
+        (``timer_reaims``): no rate at this constraint moved since the
+        target was computed, so nothing here has drained.  One whose
+        constraint froze nobody in the last pass that walked it (due ∞)
+        is dropped (``timer_drops``).  While a timer is live a new target
+        merges by ``min``: a fast-path arrival must not hide an
+        incumbent's earlier finish."""
+        fire_at = self.sim.now + (eta if eta > 0.0 else 0.0)
         armed = constraint._timer_at
+        if armed is None or fire_at < constraint._timer_due:
+            constraint._timer_due = fire_at
         if armed is not None and armed <= fire_at:
             return
+        self._set_timer(constraint, fire_at)
+
+    def _set_timer(self, constraint: Constraint, fire_at: float) -> None:
+        """(Re)place the constraint's single live timer at ``fire_at``."""
         constraint._timer_version += 1
         constraint._timer_at = fire_at
         version = constraint._timer_version
@@ -1155,6 +1194,14 @@ class FairQueue:
                 return
             constraint._timer_at = None
             if not constraint.demands:
+                return
+            due = constraint._timer_due
+            if due > self.sim.now:
+                if due == _INF:
+                    self.timer_drops += 1
+                else:
+                    self.timer_reaims += 1
+                    self._set_timer(constraint, due)
                 return
             if self._try_timer_completion(constraint):
                 return
@@ -1189,7 +1236,7 @@ class FairQueue:
             d.remaining = rem if rem > 0.0 else 0.0
             d._last_update = now
         if d.remaining > self.EPSILON:
-            return False  # fired early (rate dropped since arming): re-rate
+            return False  # float residue at the target: let a pass decide
         if not self._departure_is_local(d, rate):
             return False
         self.completion_fast_paths += 1

@@ -47,6 +47,44 @@ def reference_max_min(demand_links, capacities):
     return rates
 
 
+def reference_completions(capacities, jobs):
+    """Brute-force fluid run: re-solve max-min at every arrival and
+    completion.  ``jobs``: (arrival time, constraint-index list, size)
+    triples.  Returns each job's completion time."""
+    n = len(jobs)
+    remaining = [float(size) for _, _, size in jobs]
+    finish = [None] * n
+    t = 0.0
+    while None in finish:
+        active = [i for i in range(n)
+                  if finish[i] is None and jobs[i][0] <= t]
+        later = [jobs[i][0] for i in range(n)
+                 if finish[i] is None and jobs[i][0] > t]
+        next_arrival = min(later) if later else float("inf")
+        if not active:
+            t = next_arrival
+            continue
+        rates = reference_max_min([jobs[i][1] for i in active], capacities)
+        step = min(min(remaining[i] / r for i, r in zip(active, rates)),
+                   next_arrival - t)
+        t += step
+        for i, r in zip(active, rates):
+            remaining[i] -= r * step
+            if remaining[i] <= 1e-6 * jobs[i][2]:
+                finish[i] = t
+    return finish
+
+
+def completion_times(sim, demands):
+    """Run ``sim`` dry; returns the instant each demand completed."""
+    done_at = [None] * len(demands)
+    for i, d in enumerate(demands):
+        d.done.callbacks.append(
+            lambda _ev, i=i: done_at.__setitem__(i, sim.now))
+    sim.run()
+    return done_at
+
+
 def start_demands(queue, constraints, demand_links, size=1e9):
     """Submit one large demand per constraint-index list; returns demands."""
     return [queue.submit(size, [constraints[c] for c in links])
@@ -148,6 +186,46 @@ class TestAgainstBruteForceReference:
                 assert have == pytest.approx(want, rel=1e-9), (
                     f"after op {op}: {[l for _, l in live]}")
             sim.run(until=sim.now + 0.25)  # advance between ops
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_timer_driven_completions_after_staged_slowdowns(self, data):
+        """Demands run to completion while later arrivals slow them down,
+        so kept bottleneck timers fire early, re-aim or are dropped.
+        Every completion instant must match the brute-force fluid run."""
+        caps = data.draw(st.lists(st.floats(20.0, 500.0), min_size=2,
+                                  max_size=5), label="caps")
+        n = len(caps)
+        stages = data.draw(st.lists(st.floats(0.5, 20.0), min_size=1,
+                                    max_size=3), label="stages")
+        jobs = []
+        t = 0.0
+        for s_i, gap in enumerate([0.0] + stages):
+            t += gap
+            for j in range(data.draw(st.integers(1, 4), label=f"n{s_i}")):
+                links = sorted(data.draw(
+                    st.sets(st.integers(0, n - 1), min_size=1,
+                            max_size=min(3, n)), label=f"l{s_i}.{j}"))
+                size = data.draw(st.floats(100.0, 20000.0),
+                                 label=f"s{s_i}.{j}")
+                jobs.append((t, links, size))
+
+        sim = Simulator()
+        q = FairQueue(sim)
+        cons = [q.constraint(f"c{i}", cap) for i, cap in enumerate(caps)]
+        done_at = [None] * len(jobs)
+
+        def arrive(i):
+            _, links, size = jobs[i]
+            d = q.submit(size, [cons[c] for c in links])
+            d.done.callbacks.append(
+                lambda _ev: done_at.__setitem__(i, sim.now))
+
+        for i, (at, _, _) in enumerate(jobs):
+            sim.call_at(at, lambda _arg, i=i: arrive(i))
+        sim.run()
+        expected = reference_completions(caps, jobs)
+        assert done_at == pytest.approx(expected, rel=1e-6, abs=1e-3), jobs
 
 
 class TestSubComponentFastPaths:
@@ -280,6 +358,113 @@ class TestMultiBottleneckExactTimestamps:
         assert sim.now == pytest.approx(10.0)
         sim.run(until=fast.done)
         assert sim.now == pytest.approx(10.0)
+
+
+class TestTimerRules:
+    """Bottleneck timers that fire only when something at their
+    constraint may have drained, and arrivals that seed passes only from
+    constraints that can bind."""
+
+    def test_slowed_demands_kept_timer_reaims_without_a_pass(self):
+        """a alone on c1 arms c1 for t=10.  b's arrival at t=2 slows a
+        to 80 B/s (finish t=12): the t=10 timer is kept, fires early and
+        re-aims at 12 with no filling pass."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        c1 = q.constraint("c1", 100.0)
+        c2 = q.constraint("c2", 20.0)
+        a = q.submit(1000.0, [c1])
+        sim.run(until=2.0)
+        b = q.submit(400.0, [c1, c2])
+        sim.run(until=2.0)
+        assert a.rate == pytest.approx(80.0) and b.rate == pytest.approx(20.0)
+        passes = q.rebalances
+        sim.run(until=11.0)
+        assert q.timer_reaims == 1
+        assert q.rebalances == passes
+        want = reference_completions(
+            [100.0, 20.0], [(0.0, [0], 1000.0), (2.0, [0, 1], 400.0)])
+        assert completion_times(sim, [a, b]) == pytest.approx(want)
+        assert want == pytest.approx([12.0, 22.0])
+
+    def test_fast_path_arrival_merges_with_a_live_timer(self):
+        """c1's live timer targets the earliest finish among the demands
+        frozen there.  A newcomer rated by the arrival fast path with c1
+        as its bottleneck finishes later; its target must merge into
+        c1's (min), never replace it, or an earlier completion at c1
+        would wait for the newcomer's."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        c1 = q.constraint("c1", 100.0)
+        c2 = q.constraint("c2", 30.0)
+        lead = q.submit(700.0, [c1])          # fast path: 100 B/s
+        side = q.submit(300.0, [c1, c2])      # pass: side 30 (c2), lead 70
+        lead.done.defused()
+        sim.run(until=1.0)
+        assert c1._timer_at == pytest.approx(7.0)     # kept from 700/100
+        assert c1._timer_due == pytest.approx(10.0)   # lead: 700 / 70
+        # lead leaves: it was the fastest on saturated c1, so nobody
+        # claims its share and the departure fast path skips the pass.
+        q.abort(lead, RuntimeError("cancelled"))
+        assert q.departure_fast_paths == 1
+        late = q.submit(2000.0, [c1])         # fast path at c1, 70 B/s
+        assert q.arrival_fast_paths == 2
+        assert late.rate == pytest.approx(70.0)
+        assert c1._timer_due == pytest.approx(10.0)   # merged, not 1 + 2000/70
+        want = reference_completions(
+            [100.0, 30.0], [(0.0, [0, 1], 300.0), (1.0, [0], 2000.0)])
+        assert completion_times(sim, [side, late]) == pytest.approx(want)
+
+    def test_constraint_that_stops_bottlenecking_drops_its_timer(self):
+        """a alone is bottlenecked by c1 (timer at t=10).  Arrivals at
+        t=1 move its bottleneck to c2, so the pass that walked c1 froze
+        nobody there: the t=10 timer is dropped, no pass runs."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        c1 = q.constraint("c1", 100.0)
+        c2 = q.constraint("c2", 150.0)
+        c3 = q.constraint("c3", 40.0)
+        a = q.submit(1000.0, [c1, c2])
+        sim.run(until=1.0)
+        b = q.submit(1500.0, [c2])
+        d = q.submit(1000.0, [c2, c3])
+        sim.run(until=1.0)
+        # d: 40 (c3); a, b: (150 - 40) / 2 = 55 each (c2); c1 binds
+        # nobody any more.
+        assert a.rate == pytest.approx(55.0) and d.rate == pytest.approx(40.0)
+        assert c1._timer_due == float("inf")
+        passes = q.rebalances
+        sim.run(until=12.0)
+        assert q.timer_drops == 1
+        assert q.rebalances == passes
+        want = reference_completions(
+            [100.0, 150.0, 40.0],
+            [(0.0, [0, 1], 1000.0), (1.0, [1], 1500.0),
+             (1.0, [1, 2], 1000.0)])
+        assert completion_times(sim, [a, b, d]) == pytest.approx(want)
+
+    def test_arrival_through_a_slack_constraint_rerates_only_its_own(self):
+        """c squeezes a on n1 and shares the slack wan with b's separate
+        component: one pass re-rates {a, c}; b is not re-filled."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        wan = q.constraint("wan", 1000.0)
+        n1 = q.constraint("n1", 100.0)
+        n2 = q.constraint("n2", 100.0)
+        a = q.submit(1000.0, [n1, wan])
+        b = q.submit(1500.0, [n2, wan])
+        sim.run(until=2.0)
+        assert q.rebalances == 0  # both rated by the arrival fast path
+        c = q.submit(400.0, [n1, wan])
+        sim.run(until=2.0)
+        assert wan.slack
+        assert q.rebalances == 1
+        assert b._last_update == 0.0  # never walked since its arrival
+        want = reference_completions(
+            [1000.0, 100.0, 100.0],
+            [(0.0, [1, 0], 1000.0), (0.0, [2, 0], 1500.0),
+             (2.0, [1, 0], 400.0)])
+        assert completion_times(sim, [a, b, c]) == pytest.approx(want)
 
 
 class TestUniformGroups:

@@ -19,7 +19,8 @@ def make_system(**hdfs_overrides):
     """An MR cluster wrapped to look like a HOG system to the checker."""
     h = MRHarness(n_nodes=6, hdfs_config=hog_config(
         replication=3, disk_check_interval=None, **hdfs_overrides))
-    system = SimpleNamespace(namenode=h.namenode, jobtracker=h.jobtracker)
+    system = SimpleNamespace(namenode=h.namenode, jobtracker=h.jobtracker,
+                             fabric=h.fabric)
     return h, system
 
 
@@ -119,6 +120,17 @@ class TestCorruptionDetected:
         checker = InvariantChecker(h.sim, system)
         assert checker.check("poke") > 0
         assert "tracer_accounting" in checker.violation_counts
+
+    def test_overloaded_channel_constraint_flagged(self):
+        h, system = make_system()
+        q = h.fabric.channel
+        link = q.constraint("link", 100.0)
+        demand = q.submit(1e6, [link])   # arrival fast path: 100 B/s
+        checker = InvariantChecker(h.sim, system)
+        assert checker.check("before") == 0
+        demand.rate = 150.0
+        assert checker.check("after") > 0
+        assert "channel_max_min" in checker.violation_counts
 
     def test_violations_counted_beyond_storage_cap(self):
         from repro.faults.invariants import MAX_STORED
